@@ -139,6 +139,10 @@ ParallelEstimate RunParallelQueries(const Workload& w,
   options.warmup = warmup;
   options.queries = queries;
   auto run = sim::RunWorkload(&*tree, w.store.get(), gen->get(), options);
+  if (!run.ok()) {
+    std::fprintf(stderr, "parallel workload failed: %s\n",
+                 run.status().ToString().c_str());
+  }
   RTB_CHECK(run.ok());
   ParallelEstimate est;
   est.run = std::move(*run);

@@ -212,25 +212,8 @@ Result<RunReport> Run(const ExperimentSpec& spec) {
   // Applies to every FilePageStore in the process; a no-op request to
   // enable a path the binary lacks degrades to scalar pread.
   storage::SetVectoredIo(spec.storage.vectored_io);
-  // Same process-wide seam for the async read engine; requesting it on a
-  // binary compiled without RTB_ASYNC_IO degrades to the sync path.
-  storage::SetAsyncIo(spec.storage.async_io);
-  // The WAL seam does NOT silently degrade: a spec that asks for a durable
-  // write path must not run without one. The env override (RTB_WAL=1) only
-  // applies where a log makes sense — a file-backed, dataset-built store.
-  if (spec.storage.wal.enabled && !storage::WalAvailable()) {
-    return Status::InvalidArgument(
-        "storage.wal.enabled, but this binary was built without RTB_WAL");
-  }
-  const bool use_wal =
-      spec.storage.wal.enabled ||
-      (storage::WalActive() && spec.storage.backend == "file" &&
-       spec.tree.index.empty());
   RunReport report;
   report.spec = spec;
-  report.async_active = storage::AsyncIoActive();
-  const storage::AsyncIoStats async_before =
-      storage::AsyncReadEngine::Instance().stats();
 
   RTB_ASSIGN_OR_RETURN(PreparedTree prepared, PrepareTree(spec));
   report.build_seconds = prepared.build_seconds;
@@ -249,7 +232,7 @@ Result<RunReport> Run(const ExperimentSpec& spec) {
   report.pinned_pages = pool->num_permanent_pins();
 
   std::unique_ptr<storage::WalWriter> wal;
-  if (use_wal) {
+  if (spec.storage.wal.enabled) {
     // The bulk load wrote the store directly (no pool, no log), so sync it
     // and start the log with a checkpoint describing that durable base;
     // recovery of a crash mid-run replays from here.
@@ -263,7 +246,7 @@ Result<RunReport> Run(const ExperimentSpec& spec) {
     RTB_RETURN_IF_ERROR(wal->Checkpoint(prepared.store->num_pages()));
     pool->AttachWal(wal.get());
   }
-  report.wal_active = use_wal;
+  report.wal_active = spec.storage.wal.enabled;
 
   RTB_ASSIGN_OR_RETURN(
       rtree::RTree tree,
@@ -356,8 +339,6 @@ Result<RunReport> Run(const ExperimentSpec& spec) {
     report.store_io.wal_commits = ws.commits;
     report.store_io.wal_fsyncs = ws.fsyncs;
   }
-  report.async_io =
-      storage::AsyncReadEngine::Instance().stats().Delta(async_before);
   // Tear down explicitly so a writeback or final-flush failure surfaces as
   // a Status instead of being swallowed by the destructors. Counters were
   // captured above, so the flush traffic doesn't perturb the report. A
@@ -418,19 +399,6 @@ report::JsonDict RunReport::ToJsonDict() const {
     store.PutInt("wal_fsyncs", store_io.wal_fsyncs);
   }
   doc.PutDict("store", store);
-
-  report::JsonDict async;
-  async.PutBool("active", async_active);
-  async.PutStr("backend", async_active ? storage::AsyncIoBackendName()
-                                       : "sync");
-  async.PutInt("jobs", async_io.jobs);
-  async.PutInt("pages", async_io.pages);
-  async.PutInt("waits_ready", async_io.waits_ready);
-  async.PutInt("waits_blocked", async_io.waits_blocked);
-  async.PutNum("overlap_ratio", async_io.OverlapRatio());
-  async.PutInt("max_inflight", async_io.max_inflight);
-  async.PutInt("uring_jobs", async_io.uring_jobs);
-  doc.PutDict("async", async);
 
   report::JsonDict totals;
   totals.PutInt("queries", total.queries);

@@ -29,7 +29,6 @@
 #include "report/json.h"
 #include "rtree/summary.h"
 #include "sim/runner.h"
-#include "storage/async_io.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_store.h"
 #include "util/result.h"
@@ -120,10 +119,8 @@ struct RunReport {
   uint64_t pinned_pages = 0;
   storage::BufferStats buffer;  // Merged pool counters, warm-up included.
   storage::IoStats store_io;    // Store counters over the whole run.
-  bool async_active = false;        // Reads routed via the async engine.
-  storage::AsyncIoStats async_io;   // Engine counters over the whole run.
-  bool wal_active = false;          // Updates logged through a WAL; the
-                                    // wal_* counters in store_io are live.
+  bool wal_active = false;      // Updates logged through a WAL; the
+                                // wal_* counters in store_io are live.
 
   sim::WorkloadResult total;    // Counters summed over all classes.
   std::vector<ClassReport> classes;

@@ -109,9 +109,6 @@ Status ParseStorage(const JsonValue& v, StorageSpec* out) {
     } else if (key == "vectored_io") {
       RTB_RETURN_IF_ERROR(
           GetBool(value, "storage.vectored_io", &out->vectored_io));
-    } else if (key == "async_io") {
-      RTB_RETURN_IF_ERROR(
-          GetBool(value, "storage.async_io", &out->async_io));
     } else if (key == "wal") {
       RTB_RETURN_IF_ERROR(ParseWal(value, &out->wal));
     } else {
@@ -445,7 +442,6 @@ report::JsonDict ExperimentSpec::ToJsonDict() const {
   st.PutStr("backend", storage.backend);
   if (!storage.path.empty()) st.PutStr("path", storage.path);
   st.PutBool("vectored_io", storage.vectored_io);
-  st.PutBool("async_io", storage.async_io);
   if (storage.wal.enabled || !storage.wal.path.empty() ||
       storage.wal.group_commit_window != WalSpec().group_commit_window) {
     // Omitted entirely at the defaults, so a WAL-off spec round-trips to

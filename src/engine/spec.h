@@ -89,13 +89,6 @@ struct StorageSpec {
   std::string backend = "mem";  // mem|file
   std::string path;             // Store file (backend == "file").
   bool vectored_io = true;      // false forces one pread per page.
-  /// Route batched fetches through the async read engine (storage/
-  /// async_io.h): BeginFetchBatch submits a window's misses to a background
-  /// reader so the executor overlaps the next window's I/O with the current
-  /// window's scan. false keeps the fully synchronous FetchBatch path and
-  /// its published counters. Applies to any backend (a "mem" store just
-  /// reads on the engine thread).
-  bool async_io = false;
   WalSpec wal;
 };
 

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "sim/runner.h"
-#include "storage/async_io.h"
 #include "storage/file_page_store.h"
 #include "storage/replacement.h"
 #include "util/macros.h"
@@ -22,12 +21,7 @@ Result<std::unique_ptr<ServingStack>> ServingStack::Open(
     effective.workload.classes.push_back(cls);
   }
   RTB_RETURN_IF_ERROR(effective.Validate());
-  if (effective.storage.wal.enabled && !storage::WalAvailable()) {
-    return Status::InvalidArgument(
-        "storage.wal.enabled, but this binary was built without RTB_WAL");
-  }
   storage::SetVectoredIo(effective.storage.vectored_io);
-  storage::SetAsyncIo(effective.storage.async_io);
 
   auto stack = std::unique_ptr<ServingStack>(new ServingStack());
   stack->spec_ = effective;
@@ -49,11 +43,7 @@ Result<std::unique_ptr<ServingStack>> ServingStack::Open(
                                           effective.pool.pinned_levels));
   }
 
-  const bool use_wal =
-      effective.storage.wal.enabled ||
-      (storage::WalActive() && effective.storage.backend == "file" &&
-       effective.tree.index.empty());
-  if (use_wal) {
+  if (effective.storage.wal.enabled) {
     RTB_RETURN_IF_ERROR(stack->prepared_.store->Sync());
     storage::WalWriter::Options wopts;
     wopts.group_commit_window = effective.storage.wal.group_commit_window;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "storage/async_io.h"
 #include "util/macros.h"
 
 namespace rtb::rtree {
@@ -89,80 +88,6 @@ Status BatchExecutor::ScanWindow(storage::PageCache* pool, size_t p, size_t w,
   return Status::OK();
 }
 
-Status BatchExecutor::RunLevelAsync(
-    storage::PageCache* pool, size_t window,
-    std::span<const geom::Rect> queries,
-    std::vector<std::vector<ObjectId>>* results) {
-  const size_t n = runs_.size();
-  // Begins the multi-get for runs_[p, p+w); false routes the window to the
-  // synchronous ScanWindow instead (w == 1, or the pool can't pin a second
-  // window right now).
-  auto begin_window = [&](size_t wp, size_t ww,
-                          storage::PendingBatch* out) -> bool {
-    if (ww <= 1) return false;
-    window_ids_.clear();
-    for (size_t j = 0; j < ww; ++j) {
-      window_ids_.push_back(runs_[wp + j].page);
-    }
-    Result<storage::PendingBatch> batch =
-        pool->BeginFetchBatch(window_ids_.data(), ww);
-    if (!batch.ok()) return false;
-    *out = std::move(*batch);
-    return true;
-  };
-
-  size_t p = 0;
-  storage::PendingBatch cur;
-  bool cur_begun = false;
-  size_t cur_p = 0;
-  size_t cur_w = 0;
-  if (p < n) {
-    cur_p = p;
-    cur_w = std::min(window, n - p);
-    p += cur_w;
-    cur_begun = begin_window(cur_p, cur_w, &cur);
-  }
-  while (cur_w > 0) {
-    // Submit the next window's misses before scanning the current one: that
-    // read proceeds on the engine while VisitPage runs below.
-    storage::PendingBatch nxt;
-    bool nxt_begun = false;
-    size_t nxt_p = 0;
-    size_t nxt_w = 0;
-    if (p < n) {
-      nxt_p = p;
-      nxt_w = std::min(window, n - p);
-      p += nxt_w;
-      nxt_begun = begin_window(nxt_p, nxt_w, &nxt);
-    }
-    if (cur_begun) {
-      Result<std::vector<storage::PageGuard>> guards =
-          pool->FinishFetchBatch(std::move(cur));
-      if (guards.ok()) {
-        for (size_t j = 0; j < cur_w; ++j) {
-          // An error here drops `nxt` through its destructor, which waits
-          // out the in-flight read and releases its pins.
-          RTB_RETURN_IF_ERROR(VisitPage((*guards)[j], runs_[cur_p + j].begin,
-                                        runs_[cur_p + j].end, queries,
-                                        results));
-          (*guards)[j].Release();
-        }
-      } else {
-        // Same degradation as the sync path: retry the window one page at a
-        // time (the failed Finish released all its pins).
-        RTB_RETURN_IF_ERROR(ScanWindow(pool, cur_p, cur_w, queries, results));
-      }
-    } else {
-      RTB_RETURN_IF_ERROR(ScanWindow(pool, cur_p, cur_w, queries, results));
-    }
-    cur = std::move(nxt);
-    cur_begun = nxt_begun;
-    cur_p = nxt_p;
-    cur_w = nxt_w;
-  }
-  return Status::OK();
-}
-
 Status BatchExecutor::Run(std::span<const geom::Rect> queries,
                           std::vector<std::vector<ObjectId>>* results,
                           BatchStats* stats) {
@@ -179,14 +104,8 @@ Status BatchExecutor::Run(std::span<const geom::Rect> queries,
   }
 
   storage::PageCache* pool = tree_->pool();
-  // Double buffering pins two windows at once, so each one takes a smaller
-  // bite of the pool than the synchronous single window.
-  const bool async = storage::AsyncIoActive();
   const size_t window =
-      async ? std::min(kMaxFetchWindow,
-                       std::max<size_t>(1, pool->capacity() / 8))
-            : std::min(kMaxFetchWindow,
-                       std::max<size_t>(1, pool->capacity() / 4));
+      std::min(kMaxFetchWindow, std::max<size_t>(1, pool->capacity() / 4));
   BatchStats local;
   const bool reverse = reverse_sweep_;
   reverse_sweep_ = !reverse_sweep_;
@@ -212,15 +131,9 @@ Status BatchExecutor::Run(std::span<const geom::Rect> queries,
     local.node_accesses += frontier_.size();
     local.page_visits += runs_.size();
 
-    if (async) {
-      RTB_RETURN_IF_ERROR(RunLevelAsync(pool, window, queries, results));
-    } else {
-      size_t p = 0;
-      while (p < runs_.size()) {
-        const size_t w = std::min(window, runs_.size() - p);
-        RTB_RETURN_IF_ERROR(ScanWindow(pool, p, w, queries, results));
-        p += w;
-      }
+    for (size_t p = 0; p < runs_.size(); p += window) {
+      const size_t w = std::min(window, runs_.size() - p);
+      RTB_RETURN_IF_ERROR(ScanWindow(pool, p, w, queries, results));
     }
     std::swap(frontier_, next_);
   }

@@ -106,19 +106,10 @@ class BatchExecutor {
 
   // Fetches and scans the window of runs_[p, p+w): a windowed FetchBatch
   // when w > 1, degrading to fetch-scan-release per page when the multi-get
-  // fails (pool too small) or w == 1. The synchronous inner loop of Run.
+  // fails (pool too small) or w == 1. The inner loop of Run.
   Status ScanWindow(storage::PageCache* pool, size_t p, size_t w,
                     std::span<const geom::Rect> queries,
                     std::vector<std::vector<ObjectId>>* results);
-
-  // The double-buffered variant of one level's window loop, used when the
-  // async read seam is on: window N+1's misses are submitted (via
-  // BeginFetchBatch) before window N's pages are scanned, so the store read
-  // overlaps the SIMD scan. Falls back to ScanWindow per window whenever a
-  // Begin fails (e.g. not enough unpinned frames to hold two windows).
-  Status RunLevelAsync(storage::PageCache* pool, size_t window,
-                       std::span<const geom::Rect> queries,
-                       std::vector<std::vector<ObjectId>>* results);
 
   const RTree* tree_;
   ScanScratch scratch_;

@@ -6,52 +6,9 @@
 #include <string>
 #include <utility>
 
-#include "storage/async_io.h"
 #include "storage/wal.h"
 
 namespace rtb::storage {
-
-PendingBatch& PendingBatch::operator=(PendingBatch&& other) noexcept {
-  if (this != &other) {
-    if (pool_ != nullptr) pool_->AbandonFetchBatch(*this);
-    pool_ = other.pool_;
-    token_ = other.token_;
-    ready_ = std::move(other.ready_);
-    other.pool_ = nullptr;
-    other.token_ = 0;
-    other.ready_.clear();
-  }
-  return *this;
-}
-
-PendingBatch::~PendingBatch() {
-  if (pool_ != nullptr) pool_->AbandonFetchBatch(*this);
-}
-
-Result<PendingBatch> PageCache::BeginFetchBatch(const PageId* ids,
-                                                size_t count) {
-  // Synchronous default: the whole fetch happens here; Finish just unwraps.
-  RTB_ASSIGN_OR_RETURN(std::vector<PageGuard> guards, FetchBatch(ids, count));
-  PendingBatch batch;
-  batch.pool_ = this;
-  batch.token_ = 0;
-  batch.ready_ = std::move(guards);
-  return batch;
-}
-
-Result<std::vector<PageGuard>> PageCache::FinishFetchBatch(
-    PendingBatch&& batch) {
-  RTB_CHECK(batch.pool_ == this);
-  RTB_CHECK(batch.token_ == 0);
-  batch.pool_ = nullptr;
-  return std::move(batch.ready_);
-}
-
-void PageCache::AbandonFetchBatch(PendingBatch& batch) {
-  RTB_DCHECK(batch.token_ == 0);
-  batch.pool_ = nullptr;
-  batch.ready_.clear();  // Guard destructors release the pins.
-}
 
 // Move-into-engaged-guard: the current guard's pin is released before
 // adopting `other`'s frame, and self-assignment is a no-op (releasing first
@@ -112,7 +69,6 @@ std::unique_ptr<BufferPool> BufferPool::MakeLru(PageStore* store,
 }
 
 BufferPool::~BufferPool() {
-  RTB_DCHECK(outstanding_.empty());
   // Best-effort writeback so a store outliving the pool sees final state; a
   // destructor can only log the failure — callers that must not lose data
   // call Close() and check.
@@ -127,9 +83,6 @@ BufferPool::~BufferPool() {
 }
 
 Status BufferPool::Close() {
-  // An outstanding async batch holds pinned, possibly unread frames; losing
-  // track of it here would be a caller bug, not an I/O condition.
-  RTB_DCHECK(outstanding_.empty());
   if (wal_ != nullptr) return WalCheckpoint();
   return FlushAll();
 }
@@ -385,32 +338,12 @@ Status BufferPool::ReadPendingFrames(BatchEntry* entries, size_t n) {
   return Status::OK();
 }
 
-Status BufferPool::StagePins(const PageId* ids, size_t count,
-                             std::vector<BatchEntry>* entries) {
-  entries->clear();
-  entries->reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    bool pending = false;
-    Result<FrameId> f = PinPageNoRead(ids[i], &pending);
-    if (!f.ok()) {
-      UnwindPins(*entries, /*data_valid=*/false);
-      entries->clear();
-      return f.status();
-    }
-    entries->push_back(BatchEntry{ids[i], *f, pending});
-  }
-  return Status::OK();
-}
-
-void BufferPool::UnwindPins(const std::vector<BatchEntry>& entries,
-                            bool data_valid) {
+void BufferPool::UnwindPins(const std::vector<BatchEntry>& entries) {
   // Reverse order: a repeated id's extra pin on a pending frame drops
-  // before the pending install itself is rolled back. Pending frames whose
-  // data did arrive (an abandoned batch after a successful read) stay
-  // resident — the read is paid for, the page is real.
+  // before the pending install itself is rolled back.
   for (size_t i = entries.size(); i > 0; --i) {
     const BatchEntry& e = entries[i - 1];
-    if (e.pending && !data_valid) {
+    if (e.pending) {
       UninstallPending(e.frame);
     } else {
       Unpin(Frame{e.id, FrameData(e.frame), e.frame}, /*dirty=*/false);
@@ -427,10 +360,20 @@ Result<std::vector<PageGuard>> BufferPool::FetchBatch(const PageId* ids,
   // data; until then the pins are raw, which keeps the error unwind free of
   // guard-ordering hazards.
   std::vector<BatchEntry>& entries = batch_entries_;  // Reused across calls.
-  RTB_RETURN_IF_ERROR(StagePins(ids, count, &entries));
+  entries.clear();
+  entries.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    bool pending = false;
+    Result<FrameId> f = PinPageNoRead(ids[i], &pending);
+    if (!f.ok()) {
+      UnwindPins(entries);
+      return f.status();
+    }
+    entries.push_back(BatchEntry{ids[i], *f, pending});
+  }
   Status error = ReadPendingFrames(entries.data(), entries.size());
   if (!error.ok()) {
-    UnwindPins(entries, /*data_valid=*/false);
+    UnwindPins(entries);
     return error;
   }
   std::vector<PageGuard> guards;
@@ -440,97 +383,6 @@ Result<std::vector<PageGuard>> BufferPool::FetchBatch(const PageId* ids,
                         /*mark_dirty=*/false);
   }
   return guards;
-}
-
-Result<PendingBatch> BufferPool::BeginFetchBatch(const PageId* ids,
-                                                 size_t count) {
-  if (!AsyncIoActive()) {
-    // Seam off: the synchronous base path, byte-identical to FetchBatch.
-    return PageCache::BeginFetchBatch(ids, count);
-  }
-  PendingRead pr;
-  RTB_RETURN_IF_ERROR(StagePins(ids, count, &pr.entries));
-#if !defined(NDEBUG)
-  // Overlap contract: a page still pending in another outstanding batch
-  // must not reappear here — its "hit" would hand out unread bytes.
-  for (const PendingRead& other : outstanding_) {
-    for (const BatchEntry& oe : other.entries) {
-      if (!oe.pending) continue;
-      for (const BatchEntry& e : pr.entries) {
-        RTB_DCHECK(e.id != oe.id);
-      }
-    }
-  }
-#endif
-  std::vector<AsyncReadEngine::Request> reqs;
-  for (const BatchEntry& e : pr.entries) {
-    if (e.pending) {
-      reqs.push_back(AsyncReadEngine::Request{e.id, FrameData(e.frame)});
-    }
-  }
-  pr.token = next_pending_token_++;
-  if (!reqs.empty()) {
-    pr.job = AsyncReadEngine::Instance().Submit(store_, std::move(reqs));
-    pr.has_job = true;
-  }
-  PendingBatch batch;
-  batch.pool_ = this;
-  batch.token_ = pr.token;
-  outstanding_.push_back(std::move(pr));
-  return batch;
-}
-
-Status BufferPool::CollectPendingRead(uint64_t token,
-                                      std::vector<BatchEntry>* entries) {
-  size_t idx = outstanding_.size();
-  for (size_t i = 0; i < outstanding_.size(); ++i) {
-    if (outstanding_[i].token == token) {
-      idx = i;
-      break;
-    }
-  }
-  RTB_CHECK(idx < outstanding_.size());
-  PendingRead pr = std::move(outstanding_[idx]);
-  outstanding_.erase(outstanding_.begin() + static_cast<ptrdiff_t>(idx));
-  *entries = std::move(pr.entries);
-  if (!pr.has_job) return Status::OK();
-  return AsyncReadEngine::Instance().Wait(pr.job);
-}
-
-Result<std::vector<PageGuard>> BufferPool::FinishFetchBatch(
-    PendingBatch&& batch) {
-  if (batch.token_ == 0) return PageCache::FinishFetchBatch(std::move(batch));
-  RTB_CHECK(batch.pool_ == this);
-  const uint64_t token = batch.token_;
-  batch.pool_ = nullptr;  // Consumed: defuse the destructor.
-  batch.token_ = 0;
-  std::vector<BatchEntry> entries;
-  Status read = CollectPendingRead(token, &entries);
-  if (!read.ok()) {
-    UnwindPins(entries, /*data_valid=*/false);
-    return read;
-  }
-  std::vector<PageGuard> guards;
-  guards.reserve(entries.size());
-  for (const BatchEntry& e : entries) {
-    guards.emplace_back(this, Frame{e.id, FrameData(e.frame), e.frame},
-                        /*mark_dirty=*/false);
-  }
-  return guards;
-}
-
-void BufferPool::AbandonFetchBatch(PendingBatch& batch) {
-  if (batch.token_ == 0) {
-    PageCache::AbandonFetchBatch(batch);
-    return;
-  }
-  RTB_CHECK(batch.pool_ == this);
-  const uint64_t token = batch.token_;
-  batch.pool_ = nullptr;
-  batch.token_ = 0;
-  std::vector<BatchEntry> entries;
-  const Status read = CollectPendingRead(token, &entries);
-  UnwindPins(entries, /*data_valid=*/read.ok());
 }
 
 Result<PageGuard> BufferPool::Fetch(PageId id) {

@@ -100,34 +100,6 @@ class PageGuard {
   bool dirty_ = false;
 };
 
-/// Handle to an in-flight two-phase multi-get (PageCache::BeginFetchBatch).
-/// Move-only; must be passed to FinishFetchBatch on the same cache to
-/// collect the guards. Destroying an unfinished batch abandons it: the
-/// cache waits out any in-flight read and releases every pin — so an error
-/// path that drops the handle never leaks pins.
-class PendingBatch {
- public:
-  PendingBatch() = default;
-  PendingBatch(const PendingBatch&) = delete;
-  PendingBatch& operator=(const PendingBatch&) = delete;
-  PendingBatch(PendingBatch&& other) noexcept { *this = std::move(other); }
-  PendingBatch& operator=(PendingBatch&& other) noexcept;
-  ~PendingBatch();
-
-  /// True while the batch is begun and not yet finished or abandoned.
-  bool valid() const { return pool_ != nullptr; }
-
- private:
-  friend class PageCache;
-  friend class BufferPool;
-
-  PageCache* pool_ = nullptr;
-  // Key into the owning pool's outstanding-read table; 0 marks the
-  // synchronous fallback, whose guards sit in ready_ instead.
-  uint64_t token_ = 0;
-  std::vector<PageGuard> ready_;
-};
-
 /// Abstract page cache: the surface RTree and the workload runners execute
 /// against. Implementations decide whether calls must be externally
 /// serialized (BufferPool) or are internally synchronized
@@ -158,30 +130,6 @@ class PageCache {
   /// windows its fetches for exactly this reason).
   virtual Result<std::vector<PageGuard>> FetchBatch(const PageId* ids,
                                                     size_t count);
-
-  /// Two-phase multi-get: stages the same pins (and counts the same
-  /// BufferStats) as FetchBatch, but may return before the miss reads have
-  /// completed; FinishFetchBatch waits and materializes the guards. The
-  /// base implementation is fully synchronous — Begin performs the whole
-  /// FetchBatch and Finish just hands the guards over — so every cache
-  /// supports the protocol; BufferPool overrides it to submit the misses to
-  /// the async read engine (storage/async_io.h) when the seam is on,
-  /// letting callers overlap the read with their own work (the batch
-  /// executor's double-buffered windows).
-  ///
-  /// Caller contract for overlapped batches: pages of concurrently
-  /// outstanding batches must be disjoint, or the batches finished in begin
-  /// order (the executor's windows satisfy both — windows of one level
-  /// never share a page). Begin order is also finish order for stats.
-  virtual Result<PendingBatch> BeginFetchBatch(const PageId* ids,
-                                               size_t count);
-
-  /// Completes a begun batch: blocks until its reads are done and returns
-  /// one pinned guard per id in presentation order. On a read error all the
-  /// batch's pins are released (like FetchBatch) and the error returns. The
-  /// handle is consumed either way.
-  virtual Result<std::vector<PageGuard>> FinishFetchBatch(
-      PendingBatch&& batch);
 
   /// Allocates a fresh page in the store and returns it pinned and dirty.
   virtual Result<PageGuard> NewPage() = 0;
@@ -248,18 +196,8 @@ class PageCache {
   virtual BufferStats AggregateStats() const = 0;
   virtual void ResetStats() = 0;
 
- protected:
-  /// Tears down a begun-but-unfinished batch (PendingBatch destructor):
-  /// waits out any in-flight read and drops every pin the Begin staged.
-  /// Never fails; a read error on an abandoned batch has no one to report
-  /// to, so the pins simply unwind. Protected (not private like Unpin) so
-  /// overrides can delegate the synchronous-fallback case back to this base
-  /// implementation.
-  virtual void AbandonFetchBatch(PendingBatch& batch);
-
  private:
   friend class PageGuard;
-  friend class PendingBatch;
 
   /// Drops one pin on `frame`'s page, marking it dirty when `dirty`. Called
   /// by PageGuard on release, possibly from a different thread than Fetch
@@ -299,18 +237,6 @@ class BufferPool final : public PageCache {
   Result<std::vector<PageGuard>> FetchBatch(const PageId* ids,
                                             size_t count) override;
 
-  /// With the async seam on (AsyncIoActive()), Begin stages the pins and
-  /// submits the misses to the AsyncReadEngine, returning while the read
-  /// runs; Finish waits and materializes the guards. Stats are counted at
-  /// Begin in presentation order, so BufferStats are byte-identical to
-  /// FetchBatch. Seam off routes to the synchronous base implementation.
-  /// Still single-threaded at the API: Begin/Finish/Abandon come from the
-  /// pool's owning thread; only the read itself runs elsewhere.
-  Result<PendingBatch> BeginFetchBatch(const PageId* ids,
-                                       size_t count) override;
-  Result<std::vector<PageGuard>> FinishFetchBatch(PendingBatch&& batch)
-      override;
-
   Result<PageGuard> NewPage() override;
 
   Status PinPermanently(PageId id) override;
@@ -326,10 +252,9 @@ class BufferPool final : public PageCache {
   Status WalCheckpoint() override;
   void DiscardAll() override;
 
-  /// Checked final flush. Outstanding BeginFetchBatch handles must be
-  /// finished or abandoned first (DCHECKed). With a WAL attached this is a
-  /// checkpoint (flush + store sync + log truncation) so the log does not
-  /// outlive the pool with stale content.
+  /// Checked final flush. With a WAL attached this is a checkpoint (flush +
+  /// store sync + log truncation) so the log does not outlive the pool with
+  /// stale content.
   Status Close() override;
 
   bool Contains(PageId id) const override {
@@ -342,7 +267,6 @@ class BufferPool final : public PageCache {
 
  private:
   friend class PageGuard;
-  friend class PendingBatch;
   friend class ShardedBufferPool;
 
   struct FrameMeta {
@@ -383,16 +307,6 @@ class BufferPool final : public PageCache {
     PageId id = kInvalidPageId;
     FrameId frame = 0;
     bool pending = false;
-  };
-
-  // One outstanding asynchronous BeginFetchBatch: its handle token, the
-  // read job covering its pending entries (when any missed), and the staged
-  // pins in presentation order.
-  struct PendingRead {
-    uint64_t token = 0;
-    uint64_t job = 0;
-    bool has_job = false;
-    std::vector<BatchEntry> entries;
   };
 
   // Finds a frame for a new page: a free frame if any, otherwise evicts.
@@ -440,23 +354,10 @@ class BufferPool final : public PageCache {
   Result<FrameId> InstallNewPage(PageId id);
 
   void Unpin(const Frame& frame, bool dirty) override;
-  void AbandonFetchBatch(PendingBatch& batch) override;
 
-  // Stages the pins for ids[0..count) in presentation order (the exact
-  // counting of FetchBatch's stage 1), unwinding everything on failure.
-  // Shared front half of FetchBatch and the async BeginFetchBatch.
-  Status StagePins(const PageId* ids, size_t count,
-                   std::vector<BatchEntry>* entries);
-
-  // Releases every staged pin of `entries` in reverse order; entries still
-  // pending are uninstalled (their frames never held data unless
-  // `data_valid`), the rest unpinned.
-  void UnwindPins(const std::vector<BatchEntry>& entries, bool data_valid);
-
-  // Detaches the outstanding PendingRead with `token` (RTB_CHECKs it
-  // exists) and waits for its read job; returns the job's status and hands
-  // the staged entries to the caller.
-  Status CollectPendingRead(uint64_t token, std::vector<BatchEntry>* entries);
+  // Releases every staged pin of a failed FetchBatch in reverse order;
+  // entries still pending are uninstalled, the rest unpinned.
+  void UnwindPins(const std::vector<BatchEntry>& entries);
 
   // WAL pre-step of any writeback: logs a fresh after-image for every
   // wal-dirty frame of the set (clearing the flag — the image now reflects
@@ -500,15 +401,11 @@ class BufferPool final : public PageCache {
   std::vector<PageId> batch_ids_;
   // Scratch for the write side (FlushAll's sorted sweep and eviction-time
   // write clustering). Separate from the read-side batch_* scratch because
-  // an eviction inside StagePins must not scribble over a fetch batch in
-  // progress.
+  // an eviction while FetchBatch pins must not scribble over the fetch
+  // batch in progress.
   std::vector<FrameId> wb_frames_;
   std::vector<PageId> wb_ids_;
   std::vector<uint8_t> wb_scratch_;
-  // Asynchronous batches begun and not yet finished/abandoned. At most a
-  // couple (the executor double-buffers), so a flat vector beats a map.
-  std::vector<PendingRead> outstanding_;
-  uint64_t next_pending_token_ = 1;
   size_t num_permanent_pins_ = 0;
   BufferStats stats_;
 };

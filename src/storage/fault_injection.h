@@ -240,10 +240,6 @@ class FaultInjectingPageStore final : public PageStore {
 
   Status Close() override { return base_->Close(); }
 
-  // direct_read_source() deliberately keeps the base class's "none": a
-  // direct descriptor would let the async engine's io_uring backend read
-  // around the wrapper, so armed read faults would never fire.
-
   IoStats stats() const override { return base_->stats(); }
   void ResetStats() override { base_->ResetStats(); }
 

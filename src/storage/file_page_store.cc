@@ -200,20 +200,6 @@ void FilePageStore::Abandon() {
   fd_ = -1;
 }
 
-DirectReadSource FilePageStore::direct_read_source() const {
-  return DirectReadSource{fd_, kHeaderSize};
-}
-
-void FilePageStore::RecordDirectRead(size_t run_pages) {
-  // Mirror ReadBatch's accounting: every page is one read; a coalesced run
-  // of >= 2 additionally counts as one vectored operation.
-  reads_.fetch_add(run_pages, std::memory_order_relaxed);
-  if (run_pages >= 2) {
-    read_batches_.fetch_add(1, std::memory_order_relaxed);
-    batch_pages_.fetch_add(run_pages, std::memory_order_relaxed);
-  }
-}
-
 Status FilePageStore::WriteHeader() {
   Header header{kFileMagic, kFileVersion, page_size_,
                 num_pages_.load(std::memory_order_acquire), 0};

@@ -148,11 +148,6 @@ class FilePageStore final : public PageStore {
   /// check the status.
   Status Close() override;
 
-  /// Raw descriptor + data offset for the async engine's io_uring backend;
-  /// fd == -1 once closed.
-  DirectReadSource direct_read_source() const override;
-  void RecordDirectRead(size_t run_pages) override;
-
   /// Releases the descriptor *without* the final header write + fsync —
   /// the teardown of a simulated crash, where nothing the dying process
   /// does may reach the file. Idempotent; the store must not be used

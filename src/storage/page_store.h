@@ -85,16 +85,6 @@ struct IoStats {
   }
 };
 
-/// Raw descriptor a store can expose for kernel-submitted reads (the
-/// io_uring backend of storage/async_io.h). Page `id`'s bytes live at
-/// `base_offset + id * page_size()` on `fd`. A store without one (or with
-/// faults to inject, or already closed) returns the default `fd == -1` and
-/// all reads go through Read/ReadBatch instead.
-struct DirectReadSource {
-  int fd = -1;
-  uint64_t base_offset = 0;
-};
-
 /// Abstract page-granular storage with access counting.
 class PageStore {
  public:
@@ -163,16 +153,6 @@ class PageStore {
   /// must not be used for I/O afterwards. Callers that care about
   /// durability call this and check; the destructor only logs.
   virtual Status Close() { return Status::OK(); }
-
-  /// Descriptor for kernel-submitted direct reads, when the store has one.
-  /// See DirectReadSource.
-  virtual DirectReadSource direct_read_source() const { return {}; }
-
-  /// Accounting hook for a read of `run_pages` consecutive pages performed
-  /// directly on direct_read_source() (bypassing Read/ReadBatch). Stores
-  /// exposing a source must count it exactly as the equivalent ReadBatch
-  /// would, so IoStats don't depend on which backend served the read.
-  virtual void RecordDirectRead(size_t run_pages) { (void)run_pages; }
 
   /// Snapshot of the I/O counters since construction (or the last
   /// ResetStats()).

@@ -24,9 +24,11 @@ ShardedBufferPool::ShardedBufferPool(PageStore* store, size_t capacity,
   RTB_CHECK(store_ != nullptr);
   RTB_CHECK(capacity_ > 0);
   size_t n = options.num_shards == 0 ? kDefaultShards : options.num_shards;
-  // Power-of-two stripe count (for mask routing), at least one frame per
-  // shard.
-  n = FloorPow2(std::max<size_t>(1, std::min(n, capacity_)));
+  // Power-of-two stripe count (for mask routing), with at least
+  // kMinFramesPerShard frames per shard: a shard of one or two frames is
+  // exhausted as soon as that many threads pin a page hashing to it.
+  n = FloorPow2(
+      std::max<size_t>(1, std::min(n, capacity_ / kMinFramesPerShard)));
   shard_mask_ = n - 1;
   shards_.reserve(n);
   const size_t base = capacity_ / n;
@@ -93,20 +95,11 @@ Result<std::vector<PageGuard>> ShardedBufferPool::FetchBatch(
       error = s.pool->ReadPendingFrames(run.data(), run.size());
     }
     if (!error.ok()) {
-      // Unwind this run entirely under its own lock, in reverse so a
-      // repeated id's extra pin on a pending frame drops before the install
-      // is rolled back. The raw pins never became guards, so no guard
-      // release can re-take the mutex held here. Guards from earlier runs
-      // (other shards) are released by the clear below, outside any lock.
-      for (size_t k = run.size(); k > 0; --k) {
-        const BufferPool::BatchEntry& e = run[k - 1];
-        if (e.pending) {
-          s.pool->UninstallPending(e.frame);
-        } else {
-          s.pool->Unpin(Frame{e.id, s.pool->FrameData(e.frame), e.frame},
-                        /*dirty=*/false);
-        }
-      }
+      // Unwind this run entirely under its own lock. The raw pins never
+      // became guards, so no guard release can re-take the mutex held here.
+      // Guards from earlier runs (other shards) are released by the clear
+      // below, outside any lock.
+      s.pool->UnwindPins(run);
       break;
     }
     for (const BufferPool::BatchEntry& e : run) {

@@ -40,9 +40,10 @@ namespace rtb::storage {
 class ShardedBufferPool final : public PageCache {
  public:
   struct Options {
-    /// Number of lock stripes; rounded up to a power of two and capped so
-    /// every shard keeps at least one frame. 0 picks a default sized for
-    /// moderate thread counts (kDefaultShards, capped by capacity).
+    /// Number of lock stripes; rounded down to a power of two and capped so
+    /// every shard keeps at least kMinFramesPerShard frames (a pool smaller
+    /// than that gets one shard). 0 picks a default sized for moderate
+    /// thread counts (kDefaultShards, capped the same way).
     size_t num_shards = 0;
     /// Replacement policy instantiated per shard.
     PolicyKind policy = PolicyKind::kLru;
@@ -51,6 +52,10 @@ class ShardedBufferPool final : public PageCache {
   };
 
   static constexpr size_t kDefaultShards = 16;
+  /// Frame floor per shard. A shard's frames can all be pinned by other
+  /// threads, and a full shard fails the fetch instead of waiting, so every
+  /// shard keeps room for a few concurrent pins.
+  static constexpr size_t kMinFramesPerShard = 8;
 
   /// The pool does not own `store`; it must outlive the pool.
   ShardedBufferPool(PageStore* store, size_t capacity, Options options);

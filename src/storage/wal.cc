@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "storage/page_store.h"  // DurableSyncActive()
@@ -61,39 +60,7 @@ uint32_t Crc32(uint32_t crc, const uint8_t* data, size_t len) {
   return ~crc;
 }
 
-bool InitialWal() {
-#if defined(RTB_WAL_ENABLED)
-  if (const char* env = std::getenv("RTB_WAL")) {
-    if (std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0) {
-      return true;
-    }
-  }
-#endif
-  return false;
-}
-
-std::atomic<bool>& WalSlot() {
-  static std::atomic<bool> slot{InitialWal()};
-  return slot;
-}
-
 }  // namespace
-
-bool WalAvailable() {
-#if defined(RTB_WAL_ENABLED)
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool WalActive() { return WalSlot().load(std::memory_order_relaxed); }
-
-bool SetWal(bool on) {
-  if (on && !WalAvailable()) return false;
-  WalSlot().store(on, std::memory_order_relaxed);
-  return true;
-}
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Create(const std::string& path,
                                                      Options options) {

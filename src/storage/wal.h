@@ -25,12 +25,9 @@
 // the writer restarts the file at a checkpoint because the caller has
 // already flushed and fsynced every logged page into the data file.
 //
-// The seam follows the repo pattern (vectored/async I/O): the RTB_WAL
-// CMake option gates availability, the RTB_WAL environment variable (1|on)
-// turns the runtime default on, SetWal() switches it programmatically, and
-// the spec's storage.wal.enabled is the declarative knob. Everything is off
-// by default at runtime, and with the seam off no WAL object exists —
-// counters and I/O are byte-identical to pre-WAL builds.
+// The spec's storage.wal.enabled is the only switch. It is off by default,
+// and with it off no WAL object exists — counters and I/O are
+// byte-identical to a run without a log.
 
 #ifndef RTB_STORAGE_WAL_H_
 #define RTB_STORAGE_WAL_H_
@@ -48,19 +45,6 @@
 #include "util/status.h"
 
 namespace rtb::storage {
-
-/// True when this binary was compiled with the WAL (-DRTB_WAL=ON, the
-/// default).
-bool WalAvailable();
-
-/// Whether the runtime default asks for a WAL (engine::Run opens one when
-/// this is on even if the spec leaves storage.wal.enabled false). Initially
-/// on only when the RTB_WAL environment variable is 1|on.
-bool WalActive();
-
-/// Turns the runtime default on or off. Returns false (and changes
-/// nothing) when enabling is requested but the binary lacks the WAL.
-bool SetWal(bool on);
 
 enum class WalRecordType : uint32_t {
   kPageImage = 1,      // Redo: full page after-image.

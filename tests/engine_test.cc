@@ -131,6 +131,13 @@ TEST(SpecTest, MalformedDocumentsReturnStatusNotCrash) {
   ASSERT_FALSE(bad_storage.ok());
   EXPECT_NE(bad_storage.status().message().find("storage.backnd"),
             std::string::npos);
+  auto removed_async =
+      ExperimentSpec::FromJson(R"({"storage": {"async_io": false}})");
+  ASSERT_FALSE(removed_async.ok());
+  EXPECT_EQ(removed_async.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(removed_async.status().message().find(
+                "unknown key storage.async_io"),
+            std::string::npos);
   EXPECT_FALSE(ExperimentSpec::FromJson(
                    R"({"workload": {"classes": [{"qz": 1}]}})")
                    .ok());

@@ -78,7 +78,6 @@ struct ChildHello {
 }
 
 TEST(ServerRecoveryTest, KilledServerRecoversCommittedPrefix) {
-  if (!storage::WalAvailable()) GTEST_SKIP() << "built without RTB_WAL";
   const std::string path = "/tmp/rtb_server_recovery_test.store";
   const std::string wal_path = path + ".wal";
   std::remove(path.c_str());

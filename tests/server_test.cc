@@ -479,7 +479,6 @@ TEST(ServerTest, ResetDuringErrorBurstSurvives) {
 // (drain + reply flush), PR 8 close order. Reopening with OpenWithRecovery
 // must find a checkpoint-only log — nothing to redo, nothing to undo.
 TEST(ServerTest, GracefulShutdownLeavesCleanWal) {
-  if (!storage::WalAvailable()) GTEST_SKIP() << "built without RTB_WAL";
   const std::string path = "/tmp/rtb_server_test_wal.store";
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());

@@ -4,6 +4,7 @@
 // locking; see DESIGN.md).
 
 #include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -56,16 +57,21 @@ TEST(ShardedBufferPoolTest, ShardCountRoundsDownToPowerOfTwo) {
   // 6 requested -> 4 (floor power of two).
   auto pool = ShardedBufferPool::MakeLru(store.get(), 32, 6);
   EXPECT_EQ(pool->num_shards(), 4u);
-  // Shards never outnumber frames: capacity 3 caps 16 requested shards at 2.
+  // Every shard keeps kMinFramesPerShard (8) frames: capacity 24 caps 16
+  // requested shards at 2, and a pool under 8 frames gets one shard.
+  auto small = ShardedBufferPool::MakeLru(store.get(), 24, 16);
+  EXPECT_EQ(small->num_shards(), 2u);
   auto tiny = ShardedBufferPool::MakeLru(store.get(), 3, 16);
-  EXPECT_EQ(tiny->num_shards(), 2u);
+  EXPECT_EQ(tiny->num_shards(), 1u);
   EXPECT_EQ(tiny->capacity(), 3u);
 }
 
 TEST(ShardedBufferPoolTest, DefaultShardCountCappedByCapacity) {
   auto store = MakeStore(8);
-  auto pool = ShardedBufferPool::MakeLru(store.get(), 4);  // 0 = auto.
+  auto pool = ShardedBufferPool::MakeLru(store.get(), 32);  // 0 = auto.
   EXPECT_EQ(pool->num_shards(), 4u);
+  auto tiny = ShardedBufferPool::MakeLru(store.get(), 4);
+  EXPECT_EQ(tiny->num_shards(), 1u);
   auto big = ShardedBufferPool::MakeLru(store.get(), 1024);
   EXPECT_EQ(big->num_shards(), ShardedBufferPool::kDefaultShards);
 }
@@ -97,9 +103,10 @@ TEST(ShardedBufferPoolTest, SingleShardMatchesSerialPoolExactly) {
 }
 
 TEST(ShardedBufferPoolTest, DirtyPagesWrittenBackThroughShards) {
-  auto store = MakeStore(16);
-  auto pool = ShardedBufferPool::MakeLru(store.get(), 8, 4);
-  for (PageId p = 0; p < 16; ++p) {
+  auto store = MakeStore(64);
+  auto pool = ShardedBufferPool::MakeLru(store.get(), 32, 4);
+  ASSERT_EQ(pool->num_shards(), 4u);
+  for (PageId p = 0; p < 64; ++p) {
     auto g = pool->FetchMutable(p);
     ASSERT_TRUE(g.ok());
     g->mutable_data()[1] = static_cast<uint8_t>(0xA0 + p);
@@ -107,7 +114,7 @@ TEST(ShardedBufferPoolTest, DirtyPagesWrittenBackThroughShards) {
   ASSERT_TRUE(pool->FlushAll().ok());
   ASSERT_TRUE(pool->EvictAll().ok());
   std::vector<uint8_t> buf(kPageSize);
-  for (PageId p = 0; p < 16; ++p) {
+  for (PageId p = 0; p < 64; ++p) {
     ASSERT_TRUE(store->Read(p, buf.data()).ok());
     EXPECT_EQ(buf[1], static_cast<uint8_t>(0xA0 + p)) << "page " << p;
     EXPECT_FALSE(pool->Contains(p));
@@ -267,6 +274,38 @@ TEST(ShardedBufferPoolConcurrencyTest, ConcurrentWritersToDisjointPages) {
           << "page " << p << " tagged by wrong thread: " << int{buf[2]};
     }
   }
+}
+
+TEST(ShardedBufferPoolConcurrencyTest, HeldPinsLeaveRoomInSmallDefaultPool) {
+  // Four threads each hold one pin on a ~24-frame pool with the default
+  // shard count while every thread sweeps all pages. A shard of one or two
+  // frames would be filled by another thread's held pin and fail the
+  // sweep's fetch with ResourceExhausted; the per-shard frame floor keeps
+  // room for every concurrent pin.
+  constexpr int kThreads = 4;
+  constexpr int kPages = 64;
+  auto store = MakeStore(kPages);
+  auto pool = ShardedBufferPool::MakeLru(store.get(), 24);
+  std::barrier sync(kThreads);
+  std::atomic<uint64_t> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto held = pool->Fetch(static_cast<PageId>(t));
+      if (!held.ok()) failures.fetch_add(1, std::memory_order_relaxed);
+      sync.arrive_and_wait();  // Every thread now holds its pin.
+      for (PageId p = 0; p < kPages; ++p) {
+        auto g = pool->Fetch(p);
+        if (!g.ok() || g->data()[0] != static_cast<uint8_t>(p)) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      sync.arrive_and_wait();  // No pin drops before every sweep is done.
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0u);
 }
 
 TEST(ShardedBufferPoolConcurrencyTest, GuardsReleasableOnOtherThreads) {

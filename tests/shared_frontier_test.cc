@@ -5,7 +5,7 @@
 // empty per-worker slices, and abort collectively (same error on every
 // worker) on an injected I/O fault. Also drives the runner integration
 // (WorkloadOptions::shared_frontier). Labeled `concurrency` (run it under
-// TSan) and `async` (run it with the read seam on and off).
+// TSan).
 
 #include <algorithm>
 #include <cstdint>

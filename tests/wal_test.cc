@@ -72,17 +72,6 @@ class WalTest : public ::testing::Test {
   bool was_durable_ = false;
 };
 
-TEST_F(WalTest, SeamIsOffByDefaultAndSwitchable) {
-  // The binary under test is built with -DRTB_WAL=ON; runtime default off.
-  ASSERT_TRUE(WalAvailable());
-  const bool was = WalActive();
-  EXPECT_TRUE(SetWal(true));
-  EXPECT_TRUE(WalActive());
-  EXPECT_TRUE(SetWal(false));
-  EXPECT_FALSE(WalActive());
-  SetWal(was);
-}
-
 TEST_F(WalTest, RejectsZeroWindow) {
   WalWriter::Options options;
   options.group_commit_window = 0;

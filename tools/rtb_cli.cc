@@ -388,7 +388,7 @@ constexpr char kQueryUsage[] =
     "usage: rtb_cli query --index=FILE --buffer=B --queries=N\n"
     "                     [--qx=QX --qy=QY --open=x|y --seed=S --warmup=W]\n"
     "                     [--threads=T --shards=S --batch=N]\n"
-    "                     [--async=0|1 --shared=0|1]\n"
+    "                     [--shared=0|1]\n"
     "                     [--data=FILE --fanout=N]\n"
     "                     [--insert-frac=F --delete-frac=F "
     "--update-batch=N]\n"
@@ -399,10 +399,8 @@ constexpr char kQueryUsage[] =
     "  distinct page fetched once per batch); --batch=1 (default) is the\n"
     "  classic one-query-at-a-time loop. --open=x|y makes that axis of the\n"
     "  query rectangle open (partial-match: only the other axis\n"
-    "  constrains). --async=1 overlaps each batch\n"
-    "  window's reads with the previous window's scan (async read engine);\n"
-    "  --shared=1 shares one page-ordered frontier across all workers\n"
-    "  (needs --batch >= 2).\n"
+    "  constrains). --shared=1 shares one page-ordered frontier across all\n"
+    "  workers (needs --batch >= 2).\n"
     "  --data=FILE (instead of --index) bulk-loads the rectangle file into\n"
     "  an in-memory tree with --fanout. --insert-frac/--delete-frac turn\n"
     "  the stream into a mixed insert/delete/search workload (requires\n"
@@ -423,7 +421,7 @@ int CmdQuery(int argc, char** argv) {
              {"qx", "0"}, {"qy", "0"}, {"open", ""},
              {"seed", "1"}, {"warmup", "10000"},
              {"threads", "1"}, {"shards", "0"}, {"batch", "1"},
-             {"async", "0"}, {"shared", "0"}, {"data", ""},
+             {"shared", "0"}, {"data", ""},
              {"fanout", "100"}, {"insert-frac", "0"}, {"delete-frac", "0"},
              {"update-batch", "1"}, {"store", ""}, {"wal", "0"},
              {"wal-window", "8"}});
@@ -450,7 +448,6 @@ int CmdQuery(int argc, char** argv) {
   spec.workload.warmup = args.GetInt("warmup");
   spec.workload.batch_size =
       std::max<uint64_t>(1, args.GetInt("batch"));
-  spec.storage.async_io = args.GetInt("async") != 0;
   if (!args.Get("store").empty()) {
     spec.storage.backend = "file";
     spec.storage.path = args.Get("store");

@@ -7,16 +7,11 @@
 # build-checks/<name> so the developer's main build/ tree is untouched.
 #
 #   tools/run_checks.sh            # the full matrix
-#   tools/run_checks.sh release    # one of: release | tsan | asan | ubsan | storage | async | update | durability | server | workload
+#   tools/run_checks.sh release    # one of: release | tsan | asan | ubsan | storage | update | durability | server | workload
 #
 # `storage` is a fast focused leg: it reuses the release build and runs only
 # the `storage`-labeled tests (page stores, fault injection, the vectored
 # read path) — the suite to iterate on when touching src/storage/.
-#
-# `async` reuses the release build and runs the `async`-labeled tests twice
-# through the runtime seam: once with RTB_ASYNC_IO=sync pinned (the forced-
-# synchronous fallback every published counter rests on) and once with the
-# engine on. The TSan leg exercises the same tests under `concurrency`.
 #
 # `update` reuses the release build and runs the `update`-labeled tests
 # (batched insert/delete execution and the write-side fault injection)
@@ -42,7 +37,7 @@
 # server_test, which is exactly the surface those sanitizers watch.
 #
 # The release leg also guards the perf trajectory: it re-runs
-# micro_batch_query, micro_partial_match, micro_file_io, micro_async_io, micro_update_batch,
+# micro_batch_query, micro_partial_match, micro_file_io, micro_update_batch,
 # micro_wal_commit and micro_server_qps (under RTB_NO_FSYNC=1 — committed
 # baselines measure the write/serving path, not this machine's disk) and diffs them against
 # the committed BENCH_*.json baselines with tools/bench_diff.py. The threshold is 25%,
@@ -61,9 +56,9 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 ONLY="${1:-all}"
 
 case "$ONLY" in
-  all|release|tsan|asan|ubsan|storage|async|update|durability|server|workload) ;;
+  all|release|tsan|asan|ubsan|storage|update|durability|server|workload) ;;
   *)
-    echo "unknown configuration: $ONLY (expected release|tsan|asan|ubsan|storage|async|update|durability|server|workload)" >&2
+    echo "unknown configuration: $ONLY (expected release|tsan|asan|ubsan|storage|update|durability|server|workload)" >&2
     exit 2
     ;;
 esac
@@ -88,8 +83,7 @@ if wants release; then
   (cd "$ROOT/build-checks/release" && ctest --output-on-failure)
   echo "==> bench diff vs committed baselines"
   for bench in micro_batch_query micro_partial_match micro_file_io \
-               micro_async_io micro_update_batch micro_wal_commit \
-               micro_server_qps; do
+               micro_update_batch micro_wal_commit micro_server_qps; do
     # micro_wal_commit and micro_server_qps run with real fsync suppressed
     # so their baselines track the code path's work, not the host's disk
     # latency.
@@ -111,15 +105,6 @@ if wants storage; then
   echo "==> storage"
   configure_and_build "$ROOT/build-checks/release"
   (cd "$ROOT/build-checks/release" && ctest -L storage --output-on-failure)
-fi
-
-if wants async; then
-  echo "==> async (seam off, then on)"
-  configure_and_build "$ROOT/build-checks/release"
-  (cd "$ROOT/build-checks/release" && \
-      RTB_ASYNC_IO=sync ctest -L async --output-on-failure)
-  (cd "$ROOT/build-checks/release" && \
-      RTB_ASYNC_IO=1 ctest -L async --output-on-failure)
 fi
 
 if wants update; then
