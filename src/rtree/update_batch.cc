@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "rtree/split.h"
-#include "storage/wal.h"
 #include "util/macros.h"
 
 namespace rtb::rtree {
@@ -95,24 +94,12 @@ Status UpdateBatchExecutor::Run(std::span<const UpdateOp> ops,
       --tree_->height_;
     }
   }
-  // Batch boundary = commit boundary: describe the batch in the log (an
-  // opaque record recovery skips — the page images carry redo/undo), then
-  // let the pool image its modified pages and write ONE commit record. No
-  // data-file I/O happens here (no-force); a crash from now until the next
-  // commit rolls the tree back to exactly this point.
-  if (storage::WalWriter* wal = tree_->pool_->attached_wal();
-      wal != nullptr) {
-    uint8_t desc[24];
-    const uint64_t fields[3] = {local.inserts, local.deletes_found,
-                                local.deletes_missing};
-    for (size_t f = 0; f < 3; ++f) {
-      for (size_t b = 0; b < 8; ++b) {
-        desc[f * 8 + b] = static_cast<uint8_t>(fields[f] >> (8 * b));
-      }
-    }
-    wal->AppendLogicalUpdate(desc, sizeof(desc));
-    RTB_RETURN_IF_ERROR(tree_->pool_->WalCommit());
-  }
+  // Batch boundary = commit boundary: the pool images its modified pages
+  // and writes ONE commit record (a no-op without a WAL). No data-file I/O
+  // happens here unless the log is due an online checkpoint (no-force); a
+  // crash from now until the next commit rolls the tree back to exactly
+  // this point.
+  RTB_RETURN_IF_ERROR(tree_->pool_->WalCommit());
   if (stats != nullptr) {
     stats->inserts += local.inserts;
     stats->deletes_found += local.deletes_found;

@@ -150,8 +150,15 @@ void BufferPool::WalLogDirtyImages() {
   }
 }
 
-Status BufferPool::WalCommit() {
-  if (wal_ == nullptr) return Status::OK();
+Status PageCache::WalCommit() {
+  WalWriter* wal = attached_wal();
+  if (wal == nullptr) return Status::OK();
+  RTB_RETURN_IF_ERROR(WalAppendCommit());
+  if (!wal->CheckpointDue()) return Status::OK();
+  return WalCheckpoint();
+}
+
+Status BufferPool::WalAppendCommit() {
   WalLogDirtyImages();
   RTB_ASSIGN_OR_RETURN(Lsn lsn, wal_->Commit(store_->num_pages()));
   (void)lsn;  // Durability is the writer's business (group-commit window).

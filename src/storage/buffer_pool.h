@@ -168,15 +168,20 @@ class PageCache {
   virtual void AttachWal(WalWriter* wal) { (void)wal; }
 
   /// The writer passed to AttachWal, or null when the cache runs without a
-  /// WAL. Lets callers above the cache (e.g. the update executor) append
-  /// logical records to the same log their WalCommit targets.
+  /// WAL.
   virtual WalWriter* attached_wal() const { return nullptr; }
 
   /// Commit point for the attached WAL: logs an after-image for every page
   /// modified since the last commit and appends one commit record (made
   /// durable per the writer's group-commit window). Pages stay dirty in the
-  /// pool — no data-file I/O here (no-force). A no-op without a WAL.
-  virtual Status WalCommit() { return Status::OK(); }
+  /// pool — no data-file I/O here (no-force). Then, once the log has grown
+  /// past its bound (WalWriter::CheckpointDue), runs WalCheckpoint online:
+  /// updates come from one thread at a time, so right after a commit no
+  /// page is dirty and uncommitted, and this is the close-time checkpoint
+  /// at a commit boundary. Every commit (the update
+  /// executor's and the serial runner's) comes through here, so this is
+  /// the one place that bounds the log. A no-op without a WAL.
+  Status WalCommit();
 
   /// Checkpoint: flush every dirty page (WAL-first), fsync the store, then
   /// truncate the log to a fresh checkpoint record. After this, recovery
@@ -195,6 +200,11 @@ class PageCache {
   /// Merged hit/miss counters across the whole cache (all shards).
   virtual BufferStats AggregateStats() const = 0;
   virtual void ResetStats() = 0;
+
+ protected:
+  /// The commit half of WalCommit: image every modified page and append
+  /// one commit record. Called only with a WAL attached.
+  virtual Status WalAppendCommit() { return Status::OK(); }
 
  private:
   friend class PageGuard;
@@ -248,7 +258,6 @@ class BufferPool final : public PageCache {
 
   void AttachWal(WalWriter* wal) override { wal_ = wal; }
   WalWriter* attached_wal() const override { return wal_; }
-  Status WalCommit() override;
   Status WalCheckpoint() override;
   void DiscardAll() override;
 
@@ -264,6 +273,9 @@ class BufferPool final : public PageCache {
   const BufferStats& stats() const { return stats_; }
   BufferStats AggregateStats() const override { return stats_; }
   void ResetStats() override { stats_ = BufferStats{}; }
+
+ protected:
+  Status WalAppendCommit() override;
 
  private:
   friend class PageGuard;
@@ -368,8 +380,8 @@ class BufferPool final : public PageCache {
 
   // Logs an after-image for every wal-dirty frame (clearing the flags)
   // without forcing durability — the front half of a commit. Shared with
-  // ShardedBufferPool, whose WalCommit runs this per shard and then writes
-  // one commit record for all of them.
+  // ShardedBufferPool, whose WalAppendCommit runs this per shard and then
+  // writes one commit record for all of them.
   void WalLogDirtyImages();
 
   uint8_t* FrameData(FrameId f) {

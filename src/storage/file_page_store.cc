@@ -422,15 +422,15 @@ Result<std::unique_ptr<FilePageStore>> FilePageStore::OpenWithRecovery(
   WalRecoveryReport local;
   WalRecoveryReport& rep = report != nullptr ? *report : local;
   rep = WalRecoveryReport{};
-  RTB_ASSIGN_OR_RETURN(std::unique_ptr<FilePageStore> store, Open(path));
-
+  // The log is read first: a log this binary cannot read (NotSupported: an
+  // older format) fails the open before the store is opened, so neither
+  // file is touched and the older binary can still recover them.
   Result<std::unique_ptr<WalReader>> reader = WalReader::Open(wal_path);
-  if (!reader.ok()) {
-    if (reader.status().code() == StatusCode::kNotFound) {
-      return store;  // No log, nothing to recover.
-    }
+  if (!reader.ok() && reader.status().code() != StatusCode::kNotFound) {
     return reader.status();
   }
+  RTB_ASSIGN_OR_RETURN(std::unique_ptr<FilePageStore> store, Open(path));
+  if (!reader.ok()) return store;  // No log, nothing to recover.
 
   // Scan the whole valid prefix. Checkpoints truncate the file when they
   // are written, so the last checkpoint is normally record 0 — but recovery

@@ -81,8 +81,9 @@ class FilePageStore final : public PageStore {
   /// truncates the page count to the last committed count, fsyncs the data
   /// file (DurableSync seam) and finally truncates the log — so a repeated
   /// recovery is a no-op. A missing log file means nothing to recover
-  /// (plain Open semantics). `report`, when non-null, receives what was
-  /// found and done.
+  /// (plain Open semantics). A log in a format this binary does not read
+  /// returns NotSupported with both files untouched. `report`, when
+  /// non-null, receives what was found and done.
   static Result<std::unique_ptr<FilePageStore>> OpenWithRecovery(
       const std::string& path, const std::string& wal_path,
       WalRecoveryReport* report = nullptr);

@@ -178,8 +178,7 @@ void ShardedBufferPool::AttachWal(WalWriter* wal) {
   }
 }
 
-Status ShardedBufferPool::WalCommit() {
-  if (wal_ == nullptr) return Status::OK();
+Status ShardedBufferPool::WalAppendCommit() {
   // Image every shard's modified pages first, then one commit record
   // covers the whole pool's batch.
   for (const auto& shard : shards_) {

@@ -108,7 +108,6 @@ class ShardedBufferPool final : public PageCache {
   /// pool-wide, not per-shard.
   void AttachWal(WalWriter* wal) override;
   WalWriter* attached_wal() const override { return wal_; }
-  Status WalCommit() override;
   Status WalCheckpoint() override;
   void DiscardAll() override;
 
@@ -120,6 +119,9 @@ class ShardedBufferPool final : public PageCache {
   /// Per-shard counters (same order as shard ids), for tests and the
   /// scaling bench.
   std::vector<BufferStats> ShardStats() const;
+
+ protected:
+  Status WalAppendCommit() override;
 
  private:
   struct Shard {

@@ -9,6 +9,10 @@
 #include <cstdio>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 #include "storage/page_store.h"  // DurableSyncActive()
 
 namespace rtb::storage {
@@ -26,41 +30,108 @@ struct WalDiskHeader {
 };
 static_assert(sizeof(WalDiskHeader) == 24);
 
-constexpr size_t kWalHeaderSize = sizeof(WalDiskHeader);
+constexpr size_t kWalFrameHeaderSize = sizeof(WalDiskHeader);
 // Sanity bound while scanning: no record's payload exceeds this (pages are
-// a few KiB; logical payloads are tiny). Anything larger is torn garbage.
+// a few KiB). Anything larger is torn garbage.
 constexpr uint32_t kMaxWalPayload = 1u << 24;
 // iovec count per writev call; groups larger than this chunk (far below
 // IOV_MAX everywhere).
 constexpr size_t kMaxWalIov = 512;
 
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
-const uint32_t* Crc32Table() {
-  static uint32_t table[256];
-  static bool initialized = [] {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
+// The file header: identifies a log and its format before any frame is
+// trusted.
+constexpr char kWalMagic[8] = {'R', 'T', 'B', 'W', 'A', 'L', '\r', '\n'};
+struct WalFileHeader {
+  char magic[8];
+  uint32_t version;
+  uint32_t reserved;
+};
+static_assert(sizeof(WalFileHeader) == kWalFileHeaderSize);
+
+// CRC-32C: Castagnoli polynomial, reflected.
+constexpr uint32_t kCrc32cPoly = 0x82F63B78u;
+
+struct Crc32cTables {
+  uint32_t t[8][256];
+};
+
+// Slicing-by-8 tables: t[0] is the byte-at-a-time table, t[s][b] the CRC
+// of byte b followed by s zero bytes.
+constexpr Crc32cTables MakeCrc32cTables() {
+  Crc32cTables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (c >> 1) ^ kCrc32cPoly : c >> 1;
+    tables.t[0][i] = c;
+  }
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (int s = 1; s < 8; ++s) {
+      const uint32_t prev = tables.t[s - 1][i];
+      tables.t[s][i] = (prev >> 8) ^ tables.t[0][prev & 0xFFu];
     }
-    return true;
-  }();
-  (void)initialized;
-  return table;
+  }
+  return tables;
 }
 
-uint32_t Crc32(uint32_t crc, const uint8_t* data, size_t len) {
-  const uint32_t* table = Crc32Table();
+constexpr Crc32cTables kCrc32cTables = MakeCrc32cTables();
+
+#if defined(__x86_64__)
+// Eight bytes per crc32 instruction; the 0-7 byte tail goes a byte at a
+// time.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(uint32_t crc,
+                                                       const uint8_t* data,
+                                                       size_t len) {
+  uint64_t c = ~crc;
+  for (; len >= 8; data += 8, len -= 8) {
+    uint64_t word;
+    std::memcpy(&word, data, sizeof(word));
+    c = _mm_crc32_u64(c, word);
+  }
+  uint32_t c32 = static_cast<uint32_t>(c);
+  for (; len > 0; ++data, --len) c32 = _mm_crc32_u8(c32, *data);
+  return ~c32;
+}
+#endif
+
+using Crc32cFn = uint32_t (*)(uint32_t, const uint8_t*, size_t);
+
+Crc32cFn ResolveCrc32c() {
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sse4.2")) return Crc32cSse42;
+#endif
+  return Crc32cPortable;
+}
+
+Crc32cFn ActiveCrc32c() {
+  static const Crc32cFn fn = ResolveCrc32c();
+  return fn;
+}
+
+}  // namespace
+
+uint32_t Crc32cPortable(uint32_t crc, const uint8_t* data, size_t len) {
+  const auto& t = kCrc32cTables.t;
   crc = ~crc;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; len >= 8; data += 8, len -= 8) {
+    // Little-endian word assembly; compilers fold it into one load.
+    const uint32_t lo = crc ^ (uint32_t{data[0]} | uint32_t{data[1]} << 8 |
+                               uint32_t{data[2]} << 16 |
+                               uint32_t{data[3]} << 24);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][data[4]] ^
+          t[2][data[5]] ^ t[1][data[6]] ^ t[0][data[7]];
+  }
+  for (; len > 0; ++data, --len) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }
 
-}  // namespace
+uint32_t Crc32c(uint32_t crc, const uint8_t* data, size_t len) {
+  return ActiveCrc32c()(crc, data, len);
+}
+
+bool Crc32cHardware() { return ActiveCrc32c() != Crc32cPortable; }
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Create(const std::string& path,
                                                      Options options) {
@@ -70,6 +141,14 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Create(const std::string& path,
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     return Status::IoError("cannot create wal " + path);
+  }
+  WalFileHeader header{};
+  std::memcpy(header.magic, kWalMagic, sizeof(kWalMagic));
+  header.version = kWalFormatVersion;
+  if (::pwrite(fd, &header, sizeof(header), 0) !=
+      static_cast<ssize_t>(sizeof(header))) {
+    ::close(fd);
+    return Status::IoError(path + ": cannot write wal header");
   }
   // fsync-on-create: the (empty) log must exist durably before any record
   // in it can claim to. Directory-entry durability would additionally need
@@ -101,21 +180,22 @@ WalWriter::~WalWriter() {
 Lsn WalWriter::AppendLocked(WalRecordType type, PageId page_id,
                             const uint8_t* payload, size_t len) {
   const Lsn lsn = next_lsn_++;
-  std::vector<uint8_t> rec(kWalHeaderSize + len);
+  std::vector<uint8_t> rec(kWalFrameHeaderSize + len);
   WalDiskHeader header;
   header.crc = 0;
   header.payload_len = static_cast<uint32_t>(len);
   header.lsn = lsn;
   header.type = static_cast<uint32_t>(type);
   header.page_id = page_id;
-  std::memcpy(rec.data(), &header, kWalHeaderSize);
-  if (len > 0) std::memcpy(rec.data() + kWalHeaderSize, payload, len);
+  std::memcpy(rec.data(), &header, kWalFrameHeaderSize);
+  if (len > 0) std::memcpy(rec.data() + kWalFrameHeaderSize, payload, len);
   const uint32_t crc =
-      Crc32(0, rec.data() + sizeof(uint32_t), rec.size() - sizeof(uint32_t));
+      Crc32c(0, rec.data() + sizeof(uint32_t), rec.size() - sizeof(uint32_t));
   std::memcpy(rec.data(), &crc, sizeof(crc));
   buffered_lsn_ = lsn;
   ++stats_.records;
   stats_.bytes += rec.size();
+  log_bytes_ += rec.size();
   pending_.push_back(std::move(rec));
   return lsn;
 }
@@ -128,12 +208,6 @@ Lsn WalWriter::AppendPageImage(PageId id, const uint8_t* data, size_t len) {
 Lsn WalWriter::AppendBeforeImage(PageId id, const uint8_t* data, size_t len) {
   std::lock_guard<std::mutex> lock(mu_);
   return AppendLocked(WalRecordType::kBeforeImage, id, data, len);
-}
-
-Lsn WalWriter::AppendLogicalUpdate(const uint8_t* data, size_t len) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return AppendLocked(WalRecordType::kLogicalUpdate, kInvalidPageId, data,
-                      len);
 }
 
 Result<Lsn> WalWriter::Commit(uint64_t num_pages) {
@@ -261,13 +335,16 @@ Status WalWriter::Checkpoint(uint64_t num_pages) {
   }
   // The caller flushed and fsynced the store first, so every record logged
   // up to here — including any still buffered — is redundant with durable
-  // data pages. The log restarts as a single checkpoint record.
+  // data pages. The log restarts as its header plus a single checkpoint
+  // record.
   pending_.clear();
-  if (::ftruncate(fd_, 0) != 0) {
+  if (::ftruncate(fd_, kWalFileHeaderSize) != 0) {
     sticky_error_ = Status::IoError(path_ + ": wal truncate failed");
     return sticky_error_;
   }
-  file_size_ = 0;
+  file_size_ = kWalFileHeaderSize;
+  log_bytes_ = kWalFileHeaderSize;
+  ++stats_.checkpoints;
   uint8_t payload[sizeof(uint64_t)];
   std::memcpy(payload, &num_pages, sizeof(num_pages));
   AppendLocked(WalRecordType::kCheckpoint, kInvalidPageId, payload,
@@ -315,12 +392,31 @@ Result<std::unique_ptr<WalReader>> WalReader::Open(const std::string& path) {
     data.insert(data.end(), buf, buf + got);
   }
   ::close(fd);
-  return std::unique_ptr<WalReader>(new WalReader(std::move(data)));
+  if (data.size() < kWalFileHeaderSize) {
+    // Nothing can have been logged before the header was: an empty log.
+    return std::unique_ptr<WalReader>(new WalReader({}, 0));
+  }
+  WalFileHeader header;
+  std::memcpy(&header, data.data(), sizeof(header));
+  if (std::memcmp(header.magic, kWalMagic, sizeof(kWalMagic)) != 0) {
+    return Status::NotSupported(
+        path + ": not a version-" + std::to_string(kWalFormatVersion) +
+        " wal (no file header; a version-1 log needs the binary that wrote "
+        "it to recover)");
+  }
+  if (header.version != kWalFormatVersion) {
+    return Status::NotSupported(path + ": wal format version " +
+                                std::to_string(header.version) +
+                                ", this binary reads version " +
+                                std::to_string(kWalFormatVersion));
+  }
+  return std::unique_ptr<WalReader>(
+      new WalReader(std::move(data), kWalFileHeaderSize));
 }
 
 bool WalReader::Next(WalRecord* out) {
   if (done_) return false;
-  if (data_.size() - pos_ < kWalHeaderSize) {
+  if (data_.size() - pos_ < kWalFrameHeaderSize) {
     // Trailing bytes too short for a header are a torn append (a clean end
     // lands exactly on a record boundary).
     torn_tail_ = pos_ < data_.size();
@@ -328,16 +424,16 @@ bool WalReader::Next(WalRecord* out) {
     return false;
   }
   WalDiskHeader header;
-  std::memcpy(&header, data_.data() + pos_, kWalHeaderSize);
+  std::memcpy(&header, data_.data() + pos_, kWalFrameHeaderSize);
   if (header.payload_len > kMaxWalPayload ||
-      data_.size() - pos_ - kWalHeaderSize < header.payload_len) {
+      data_.size() - pos_ - kWalFrameHeaderSize < header.payload_len) {
     torn_tail_ = true;
     done_ = true;
     return false;
   }
-  const size_t frame = kWalHeaderSize + header.payload_len;
-  const uint32_t crc = Crc32(0, data_.data() + pos_ + sizeof(uint32_t),
-                             frame - sizeof(uint32_t));
+  const size_t frame = kWalFrameHeaderSize + header.payload_len;
+  const uint32_t crc = Crc32c(0, data_.data() + pos_ + sizeof(uint32_t),
+                              frame - sizeof(uint32_t));
   if (crc != header.crc) {
     torn_tail_ = true;
     done_ = true;
@@ -347,8 +443,9 @@ bool WalReader::Next(WalRecord* out) {
   out->lsn = header.lsn;
   out->page_id = header.page_id;
   out->num_pages = 0;
-  out->payload.assign(data_.begin() + static_cast<ptrdiff_t>(pos_ + kWalHeaderSize),
-                      data_.begin() + static_cast<ptrdiff_t>(pos_ + frame));
+  const auto begin = data_.begin() + static_cast<ptrdiff_t>(pos_);
+  out->payload.assign(begin + static_cast<ptrdiff_t>(kWalFrameHeaderSize),
+                      begin + static_cast<ptrdiff_t>(frame));
   if ((out->type == WalRecordType::kCommit ||
        out->type == WalRecordType::kCheckpoint) &&
       out->payload.size() >= sizeof(uint64_t)) {

@@ -1,6 +1,6 @@
 // Write-ahead logging for the durable write path.
 //
-// WalWriter appends length+CRC32-framed records to a log file and makes
+// WalWriter appends length+CRC-32C-framed records to a log file and makes
 // them durable in groups: records accumulate in memory, and a *sync point*
 // drains everything buffered with one writev + one fdatasync. Commit
 // records trigger a sync point every `group_commit_window` commits, and
@@ -15,6 +15,12 @@
 // sync point is genuinely absent from the file, so the crash-simulation
 // tests get real torn-tail behavior without a kernel crash.
 //
+// The file starts with a 16-byte header (magic + format version). Version 2
+// frames records with CRC-32C; the header-less version-1 logs used the
+// IEEE CRC-32, so every one of their frames would fail the new check and
+// look like a torn tail at byte 0. The reader refuses them with
+// NotSupported instead, and recovery leaves such a log and its store alone.
+//
 // The record set is physiological: full-page after-images (kPageImage) are
 // the redo log, full-page before-images (kBeforeImage, captured at the
 // first modification of a page since the last commit) are the undo log,
@@ -23,7 +29,9 @@
 // uncommitted suffix back through its before-images in reverse, and
 // discards the torn tail by CRC. kCheckpoint records let the log truncate:
 // the writer restarts the file at a checkpoint because the caller has
-// already flushed and fsynced every logged page into the data file.
+// already flushed and fsynced every logged page into the data file. The
+// pools checkpoint at a commit boundary whenever the log has grown past
+// Options::checkpoint_bytes, so a long-lived writer's log stays bounded.
 //
 // The spec's storage.wal.enabled is the only switch. It is off by default,
 // and with it off no WAL object exists — counters and I/O are
@@ -46,21 +54,38 @@
 
 namespace rtb::storage {
 
+/// Format version written into the file header. Version 1 had no header
+/// and framed records with the IEEE CRC-32.
+constexpr uint32_t kWalFormatVersion = 2;
+/// Bytes of the file header (8-byte magic, 4-byte version, 4 reserved).
+constexpr size_t kWalFileHeaderSize = 16;
+/// Default log size past which the pools checkpoint at the next commit
+/// (WalWriter::Options::checkpoint_bytes).
+constexpr uint64_t kWalCheckpointBytes = uint64_t{64} << 20;
+
+/// CRC-32C (Castagnoli) of `len` bytes, continuing from `crc` (0 to
+/// start). Runs on the SSE4.2 crc32 instruction when the CPU has it — the
+/// choice is made once per process — and on slicing-by-8 otherwise.
+uint32_t Crc32c(uint32_t crc, const uint8_t* data, size_t len);
+/// The portable slicing-by-8 CRC-32C, whatever the CPU supports.
+uint32_t Crc32cPortable(uint32_t crc, const uint8_t* data, size_t len);
+/// True when Crc32c runs on the SSE4.2 instruction.
+bool Crc32cHardware();
+
 enum class WalRecordType : uint32_t {
-  kPageImage = 1,      // Redo: full page after-image.
-  kBeforeImage = 2,    // Undo: full page image before its first dirtying.
-  kLogicalUpdate = 3,  // Opaque description of a logical batch (not replayed).
-  kCommit = 4,         // Batch atomicity boundary; payload = page count.
-  kCheckpoint = 5,     // Log restart point; payload = page count.
+  kPageImage = 1,    // Redo: full page after-image.
+  kBeforeImage = 2,  // Undo: full page image before its first dirtying.
+  kCommit = 4,       // Batch atomicity boundary; payload = page count.
+  kCheckpoint = 5,   // Log restart point; payload = page count.
 };
 
 /// One decoded log record (WalReader::Next).
 struct WalRecord {
-  WalRecordType type = WalRecordType::kLogicalUpdate;
+  WalRecordType type = WalRecordType::kPageImage;
   Lsn lsn = kNoLsn;
   PageId page_id = kInvalidPageId;  // Image records only.
   uint64_t num_pages = 0;           // Commit/checkpoint records only.
-  std::vector<uint8_t> payload;     // Page bytes or logical payload.
+  std::vector<uint8_t> payload;     // Page bytes or page count.
 };
 
 /// Cumulative WalWriter counters. `fsyncs` counts durability points (one
@@ -72,6 +97,7 @@ struct WalStats {
   uint64_t bytes = 0;
   uint64_t commits = 0;
   uint64_t fsyncs = 0;
+  uint64_t checkpoints = 0;
 };
 
 /// Crash-simulation hook for WalWriter (see FaultInjectingPageStore's
@@ -105,13 +131,18 @@ class WalWriter {
     /// writev + one fdatasync. Deferred commits are durable no later than
     /// the next sync point, eviction-forced EnsureDurable, or Close.
     uint64_t group_commit_window = 1;
+    /// Log size (header included, buffered records counted) at which
+    /// CheckpointDue() turns true, so the pools checkpoint at the next
+    /// commit. Checkpoint cost grows with the log, so the bound also caps
+    /// the stall of each one.
+    uint64_t checkpoint_bytes = kWalCheckpointBytes;
     /// Crash-simulation hook (not owned; may be null).
     WalFaultHook* fault_hook = nullptr;
   };
 
-  /// Creates (or truncates) the log at `path` and fsyncs the empty file
-  /// (honoring the DurableSync seam), so the log exists on disk before the
-  /// first record claims durability.
+  /// Creates (or truncates) the log at `path`, writes the file header and
+  /// fsyncs it (honoring the DurableSync seam), so the log exists on disk
+  /// before the first record claims durability.
   static Result<std::unique_ptr<WalWriter>> Create(const std::string& path,
                                                    Options options);
   static Result<std::unique_ptr<WalWriter>> Create(const std::string& path);
@@ -125,10 +156,6 @@ class WalWriter {
   /// LSN; the append itself cannot fail (I/O happens at sync points).
   Lsn AppendPageImage(PageId id, const uint8_t* data, size_t len);
   Lsn AppendBeforeImage(PageId id, const uint8_t* data, size_t len);
-
-  /// Buffer an opaque logical-update record (batch descriptions; recovery
-  /// ignores them, the page images carry the redo/undo content).
-  Lsn AppendLogicalUpdate(const uint8_t* data, size_t len);
 
   /// Buffer a commit record carrying the store's page count at commit, and
   /// drain the group when this is the window's Nth commit. Returns the
@@ -144,11 +171,19 @@ class WalWriter {
     return lsn <= durable_lsn_.load(std::memory_order_acquire);
   }
 
-  /// Restarts the log: truncates the file and writes (durably) a single
-  /// checkpoint record carrying the store's page count. Callers must have
-  /// flushed and fsynced the data store first — the truncation assumes
-  /// every previously logged page is durably in the store.
+  /// Restarts the log: truncates the file back to its header and writes
+  /// (durably) a single checkpoint record carrying the store's page count.
+  /// Callers must have flushed and fsynced the data store first — the
+  /// truncation assumes every previously logged page is durably in the
+  /// store.
   Status Checkpoint(uint64_t num_pages);
+
+  /// True once the log (header plus every record appended since the last
+  /// restart, buffered or not) has reached Options::checkpoint_bytes.
+  bool CheckpointDue() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return log_bytes_ >= options_.checkpoint_bytes;
+  }
 
   /// Drains any buffered records durably and releases the descriptor.
   /// Idempotent. A dead (crashed) writer returns its sticky error without
@@ -198,16 +233,20 @@ class WalWriter {
   uint64_t commits_since_sync_ = 0;
   bool sync_in_progress_ = false;
   Status sticky_error_;
-  uint64_t file_size_ = 0;
+  uint64_t file_size_ = kWalFileHeaderSize;
+  uint64_t log_bytes_ = kWalFileHeaderSize;  // file_size_ + buffered records.
   WalStats stats_;
 };
 
 /// Sequential reader over a log file. Loads the file at Open (logs are
-/// truncated at every checkpoint, so they stay small) and decodes records
-/// until the clean end or the first frame whose length or CRC does not
-/// check out — a torn tail, which recovery discards.
+/// truncated at every checkpoint, so they stay near their bound) and
+/// decodes records until the clean end or the first frame whose length or
+/// CRC does not check out — a torn tail, which recovery discards.
 class WalReader {
  public:
+  /// Opens and loads the log. A file shorter than the header (a crash
+  /// during Create, or a log recovery reset) reads as an empty log. A wrong
+  /// magic or version is NotSupported; a missing file is NotFound.
   static Result<std::unique_ptr<WalReader>> Open(const std::string& path);
 
   WalReader(const WalReader&) = delete;
@@ -225,7 +264,8 @@ class WalReader {
   uint64_t valid_bytes() const { return valid_bytes_; }
 
  private:
-  explicit WalReader(std::vector<uint8_t> data) : data_(std::move(data)) {}
+  WalReader(std::vector<uint8_t> data, size_t start)
+      : data_(std::move(data)), pos_(start), valid_bytes_(start) {}
 
   std::vector<uint8_t> data_;
   size_t pos_ = 0;

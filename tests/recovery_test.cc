@@ -10,7 +10,9 @@
 //     with torn page and torn log writes mixed in. After every crash,
 //     OpenWithRecovery must produce a structurally valid tree whose
 //     leaf-entry set equals the workload state at the commit boundary the
-//     durable log prefix ends on — never a torn hybrid of two batches.
+//     durable log prefix ends on — never a torn hybrid of two batches. One
+//     sweep shrinks the log bound so that online checkpoints (flush, store
+//     sync, log truncation at a commit) fall inside the swept budgets.
 //
 // Runs with the DurableSync seam off; a "durable" byte here is a byte that
 // reached the log or store file, which is exactly what the simulated crash
@@ -276,6 +278,14 @@ struct CrashCase {
   bool torn = false;
   uint64_t torn_bytes = 0;
   uint64_t window = 1;
+  uint64_t checkpoint_bytes = storage::kWalCheckpointBytes;
+};
+
+// A checkpoint the run completed: its record's LSN and how many batches
+// had committed when it was taken.
+struct CheckpointMark {
+  storage::Lsn lsn = 0;
+  size_t batches = 0;
 };
 
 struct CrashOutcome {
@@ -287,6 +297,11 @@ struct CrashOutcome {
   // batch-complete meta whenever the dying batch's commit record made it
   // into the log (the only case that entry is consulted).
   std::vector<std::pair<PageId, uint16_t>> meta;
+  // Every checkpoint the run completed: the setup one, each online one and,
+  // on a clean run, the close one. The workload is deterministic, so LSNs
+  // match across runs up to a crash, and a crashed run's log is read
+  // against the clean run's marks.
+  std::vector<CheckpointMark> checkpoints;
 };
 
 // Runs the scripted workload against a fresh store + WAL at `path`, with a
@@ -308,6 +323,7 @@ CrashOutcome RunWorkload(const Script& script, const std::string& path,
   RTB_CHECK(tree.ok());
   WalWriter::Options wopts;
   wopts.group_commit_window = cc.window;
+  wopts.checkpoint_bytes = cc.checkpoint_bytes;
   wopts.fault_hook = &hook;
   auto wal = WalWriter::Create(path + ".wal", wopts);
   RTB_CHECK(wal.ok());
@@ -316,6 +332,7 @@ CrashOutcome RunWorkload(const Script& script, const std::string& path,
 
   CrashOutcome out;
   out.meta.emplace_back(tree->root(), tree->height());
+  out.checkpoints.push_back({(*wal)->last_lsn(), 0});
 
   clock.torn = cc.torn;
   clock.torn_bytes = cc.torn_bytes;
@@ -325,16 +342,24 @@ CrashOutcome RunWorkload(const Script& script, const std::string& path,
   UpdateBatchExecutor exec(&*tree);
   Status failure = Status::OK();
   for (const std::vector<UpdateOp>& batch : script.batches) {
+    const uint64_t checkpoints = (*wal)->stats().checkpoints;
     failure = exec.Run(batch);
     if (!failure.ok()) break;
     ++out.batches_done;
     out.meta.emplace_back(tree->root(), tree->height());
+    if ((*wal)->stats().checkpoints != checkpoints) {
+      // The commit checkpointed online; its record is the log's last.
+      out.checkpoints.push_back({(*wal)->last_lsn(), out.batches_done});
+    }
   }
   if (failure.ok()) {
     // Clean shutdown: checkpoint (flush + store sync + log restart). Under
     // a tight budget the crash can land here too.
     failure = pool->Close();
     if (failure.ok()) failure = (*wal)->Close();
+    if (failure.ok()) {
+      out.checkpoints.push_back({(*wal)->last_lsn(), out.batches_done});
+    }
   }
   out.crashed = !failure.ok();
   if (out.crashed) {
@@ -353,9 +378,10 @@ CrashOutcome RunWorkload(const Script& script, const std::string& path,
 // What the log's valid prefix says about the durable state.
 struct LogSummary {
   bool any_records = false;
-  // LSN of the last checkpoint record. The workload writes exactly two
-  // checkpoints — at setup (always lsn 1, the log's first record ever) and
-  // at clean shutdown (always later) — so this tells them apart.
+  // LSN of the last checkpoint record. The workload checkpoints at setup
+  // (always lsn 1, the log's first record ever), online whenever a commit
+  // leaves the log past its bound, and at clean shutdown; the clean run's
+  // CheckpointMarks map this LSN to the batch count it anchors.
   storage::Lsn checkpoint_lsn = 0;
   size_t commits_after_checkpoint = 0;
 };
@@ -401,27 +427,37 @@ std::vector<uint64_t> LeafIds(storage::PageStore* store, PageId root) {
   return out;
 }
 
+// `marks` are the checkpoints of the same case run without a crash.
 void CheckCrashPoint(const Script& script, const std::string& path,
-                     const CrashCase& cc) {
+                     const CrashCase& cc,
+                     const std::vector<CheckpointMark>& marks) {
   SCOPED_TRACE("budget=" + std::to_string(cc.budget) +
                " torn=" + std::to_string(cc.torn) +
                " torn_bytes=" + std::to_string(cc.torn_bytes) +
-               " window=" + std::to_string(cc.window));
+               " window=" + std::to_string(cc.window) +
+               " checkpoint_bytes=" + std::to_string(cc.checkpoint_bytes));
   const CrashOutcome out = RunWorkload(script, path, cc);
 
   const LogSummary log = SummarizeLog(path + ".wal");
   size_t j;
-  if (!log.any_records || log.checkpoint_lsn > 1) {
-    // The close-time checkpoint got at least as far as truncating the log
-    // (record-free file) or writing its record (checkpoint with a
-    // post-setup LSN) — either way every batch was flushed and the store
-    // header synced before that, so the durable state is the final one.
-    ASSERT_EQ(out.batches_done, script.batches.size());
-    j = out.batches_done;
+  if (!log.any_records) {
+    // A checkpoint truncated the log and died before its record was
+    // durable. It had flushed every batch and synced the store first, so
+    // the durable state is the one it was taken at: the batch whose commit
+    // triggered it (online; that batch never returned), or the last batch
+    // (at close).
+    ASSERT_TRUE(out.crashed);
+    j = std::min(out.batches_done + 1, script.batches.size());
   } else {
-    // Log still anchored at the setup checkpoint: the durable state is the
-    // last batch whose commit record made the valid prefix.
-    j = log.commits_after_checkpoint;
+    // Anchored at a checkpoint the clean run also wrote: the durable state
+    // is its batch count plus every commit record in the valid prefix.
+    const auto mark =
+        std::find_if(marks.begin(), marks.end(), [&](const CheckpointMark& m) {
+          return m.lsn == log.checkpoint_lsn;
+        });
+    ASSERT_NE(mark, marks.end())
+        << "checkpoint lsn " << log.checkpoint_lsn << " not in the clean run";
+    j = mark->batches + log.commits_after_checkpoint;
   }
   ASSERT_LE(j, out.batches_done + 1);
   ASSERT_LT(j, out.meta.size());
@@ -461,7 +497,30 @@ TEST_F(RecoveryTest, EveryCrashPointRecoversToACommittedBoundary) {
     cc.window = 4;
     cc.torn = b % 3 == 0;
     cc.torn_bytes = 1 + (b * 53) % kPageSize;
-    CheckCrashPoint(script, path, cc);
+    CheckCrashPoint(script, path, cc, base.checkpoints);
+  }
+}
+
+TEST_F(RecoveryTest, CrashSweepThroughOnlineCheckpoints) {
+  const Script script = MakeScript(/*num_batches=*/12, /*batch_size=*/12,
+                                   /*seed=*/4321);
+  const std::string path = Path("sweep_online");
+  CrashCase clean{UINT64_MAX, false, 0, 4};
+  clean.checkpoint_bytes = 12 * 1024;  // A few batches of 512-byte images.
+  const CrashOutcome base = RunWorkload(script, path, clean);
+  ASSERT_FALSE(base.crashed);
+  ASSERT_EQ(base.batches_done, script.batches.size());
+  // Setup + close + several online checkpoints spread over the run.
+  ASSERT_GE(base.checkpoints.size(), 2u + 3u);
+
+  // Every crash point again: crashes now also land inside the online
+  // checkpoints' flushes, store syncs and log restarts.
+  for (uint64_t b = 0; b < base.ticks_used; ++b) {
+    CrashCase cc = clean;
+    cc.budget = b;
+    cc.torn = b % 3 == 1;
+    cc.torn_bytes = 1 + (b * 71) % kPageSize;
+    CheckCrashPoint(script, path, cc, base.checkpoints);
   }
 }
 
@@ -480,7 +539,7 @@ TEST_F(RecoveryTest, CrashSweepWithForcedCommits) {
     cc.window = 1;
     cc.torn = b % 2 == 0;
     cc.torn_bytes = 1 + (b * 131) % (kPageSize / 2);
-    CheckCrashPoint(script, path, cc);
+    CheckCrashPoint(script, path, cc, base.checkpoints);
   }
 }
 

@@ -219,7 +219,9 @@ TEST(ClusterWorkloadTest, ZipfWeightsNormalizeAndDecay) {
   double sum = 0.0;
   for (size_t i = 0; i < skewed.size(); ++i) {
     sum += skewed[i];
-    if (i > 0) EXPECT_LT(skewed[i], skewed[i - 1]);
+    if (i > 0) {
+      EXPECT_LT(skewed[i], skewed[i - 1]);
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-12);
   // w_i ∝ 1/(i+1): the first weight is twice the second.

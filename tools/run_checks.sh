@@ -46,6 +46,10 @@
 # (an accidental extra copy on the hot path shows up as -25%..-30%), not
 # to relitigate machine noise.
 #
+# The release tree (shared by the release, storage, update, durability and
+# workload legs) builds with -DRTB_WERROR=ON, so a new warning fails the
+# check instead of scrolling by in the build log.
+#
 # Sanitizer builds skip the benchmarks (RTB_BUILD_BENCHMARKS=OFF) — they
 # only slow the build down and the bench smoke test already runs in the
 # Release pass.
@@ -79,7 +83,7 @@ mkdir -p "$ROOT/build-checks"
 
 if wants release; then
   echo "==> release"
-  configure_and_build "$ROOT/build-checks/release"
+  configure_and_build "$ROOT/build-checks/release" -DRTB_WERROR=ON
   (cd "$ROOT/build-checks/release" && ctest --output-on-failure)
   echo "==> bench diff vs committed baselines"
   for bench in micro_batch_query micro_partial_match micro_file_io \
@@ -103,13 +107,13 @@ fi
 
 if wants storage; then
   echo "==> storage"
-  configure_and_build "$ROOT/build-checks/release"
+  configure_and_build "$ROOT/build-checks/release" -DRTB_WERROR=ON
   (cd "$ROOT/build-checks/release" && ctest -L storage --output-on-failure)
 fi
 
 if wants update; then
   echo "==> update (vectored writes, then forced-scalar)"
-  configure_and_build "$ROOT/build-checks/release"
+  configure_and_build "$ROOT/build-checks/release" -DRTB_WERROR=ON
   (cd "$ROOT/build-checks/release" && ctest -L update --output-on-failure)
   (cd "$ROOT/build-checks/release" && \
       RTB_VECTORED_IO=scalar ctest -L update --output-on-failure)
@@ -117,7 +121,7 @@ fi
 
 if wants durability; then
   echo "==> durability (vectored writes, then forced-scalar)"
-  configure_and_build "$ROOT/build-checks/release"
+  configure_and_build "$ROOT/build-checks/release" -DRTB_WERROR=ON
   (cd "$ROOT/build-checks/release" && ctest -L durability --output-on-failure)
   (cd "$ROOT/build-checks/release" && \
       RTB_VECTORED_IO=scalar ctest -L durability --output-on-failure)
@@ -125,7 +129,7 @@ fi
 
 if wants workload; then
   echo "==> workload (release, then ASan)"
-  configure_and_build "$ROOT/build-checks/release"
+  configure_and_build "$ROOT/build-checks/release" -DRTB_WERROR=ON
   (cd "$ROOT/build-checks/release" && ctest -L workload --output-on-failure)
   configure_and_build "$ROOT/build-checks/asan" \
       -DRTB_SANITIZE=address -DRTB_BUILD_BENCHMARKS=OFF
