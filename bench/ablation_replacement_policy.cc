@@ -60,9 +60,11 @@ int Run(int argc, char** argv) {
       RTB_CHECK(pool.EvictAll().ok());
       w.store->ResetStats();
       sim::UniformPointGenerator gen;
-      Rng rng(seed + buffer);
-      auto result = sim::RunWorkload(&*tree, w.store.get(), &gen, &rng,
-                                     warmup, queries);
+      sim::WorkloadOptions options;
+      options.base_seed = seed + buffer;
+      options.warmup = warmup;
+      options.queries = queries;
+      auto result = sim::RunWorkload(&*tree, w.store.get(), &gen, options);
       RTB_CHECK(result.ok());
       row.push_back(Table::Num(result->MeanDiskAccesses(), 4));
     }

@@ -1,14 +1,14 @@
 // micro_batch_query — batched (level-synchronous) query execution vs. the
-// serial per-query loop, with and without the SIMD node-scan kernel.
+// serial per-query loop.
 //
 // Two buffer regimes, both on the uniform-region workload:
 //
 //   * resident — the pool holds the whole tree, so the measurement isolates
 //     CPU cost: guard churn per node visit (batching pins each distinct
-//     page once per batch) and the entry sweep (scalar NodeView::Intersects
-//     vs. the runtime-dispatched SIMD kernel over the gathered SoA
-//     scratch). Rows: serial, batched+scalar, batched+SIMD; the acceptance
-//     criterion is batched+SIMD >= 1.3x serial queries/sec.
+//     page once per batch) and the entry sweep (NodeView::Intersects in
+//     place vs. the scan kernel over the gathered SoA scratch). Rows:
+//     serial, batched; the acceptance criterion is batched >= 1.3x serial
+//     queries/sec.
 //   * smallbuf — a pool of --small_buffer_pages frames (default 40, a few
 //     percent of the tree), the paper's buffer-starved regime. Here the
 //     interesting number is buffer behavior, reported two ways:
@@ -35,7 +35,6 @@
 
 #include "bench/common.h"
 #include "rtree/batch.h"
-#include "rtree/scan_kernel.h"
 
 namespace rtb::bench {
 namespace {
@@ -55,19 +54,15 @@ struct Measurement {
 // Runs `queries` region queries (after `warmup` unmeasured ones) against a
 // fresh pool of `buffer_pages` frames. `batch_size <= 1` is the serial
 // RTree::Search loop; otherwise the BatchExecutor runs chunks of
-// `batch_size`. `kernel` caps the scan kernel for the batched path (the
-// serial path always uses the scalar NodeView sweep).
+// `batch_size`.
 Measurement RunMode(const Workload& w, sim::QueryGenerator* gen,
                     uint64_t buffer_pages, uint64_t seed, uint64_t warmup,
-                    uint64_t queries, uint64_t batch_size,
-                    rtree::ScanKernel kernel) {
+                    uint64_t queries, uint64_t batch_size) {
   auto pool = storage::BufferPool::MakeLru(w.store.get(), buffer_pages);
   auto tree = rtree::RTree::Open(pool.get(),
                                  rtree::RTreeConfig::WithFanout(w.fanout),
                                  w.tree.root, w.tree.height);
   RTB_CHECK(tree.ok());
-  RTB_CHECK(rtree::SetScanKernel(kernel) ||
-            kernel == rtree::ScanKernel::kScalar);
 
   Rng rng(seed);
   Measurement m;
@@ -134,12 +129,9 @@ Measurement RunMode(const Workload& w, sim::QueryGenerator* gen,
 }
 
 void EmitRow(JsonDict& row, const Measurement& m, const Measurement& serial,
-             uint64_t buffer_pages, uint64_t batch_size,
-             rtree::ScanKernel kernel) {
+             uint64_t buffer_pages, uint64_t batch_size) {
   row.PutInt("buffer_pages", buffer_pages);
   row.PutInt("batch_size", batch_size);
-  row.PutStr("kernel",
-             batch_size <= 1 ? "none" : rtree::ScanKernelName(kernel));
   row.PutNum("queries_per_sec", m.queries_per_sec);
   row.PutNum("speedup_vs_serial", serial.queries_per_sec > 0.0
                                       ? m.queries_per_sec /
@@ -170,10 +162,9 @@ int Run(int argc, char** argv) {
   const uint64_t batch = std::max<uint64_t>(2, flags.GetInt("batch"));
   const double region_side = flags.GetDouble("region_side");
   const uint64_t small_buffer = flags.GetInt("small_buffer_pages");
-  const rtree::ScanKernel best = rtree::BestScanKernel();
 
   Banner("micro: batched query execution",
-         "level-synchronous batches + SIMD node scan vs. the serial loop; " +
+         "level-synchronous batches vs. the serial loop; " +
              Table::Int(flags.GetInt("points")) + " uniform points, fanout " +
              Table::Int(flags.GetInt("fanout")) + ", batch " +
              Table::Int(batch),
@@ -196,19 +187,15 @@ int Run(int argc, char** argv) {
   report.meta().PutInt("warmup", warmup);
   report.meta().PutNum("region_side", region_side);
   report.meta().PutInt("small_buffer_pages", small_buffer);
-  report.meta().PutStr("best_kernel", rtree::ScanKernelName(best));
 
-  Table table({"config", "batch", "kernel", "queries/s", "speedup",
-               "pool hit", "effective hit", "reads/query"});
+  Table table({"config", "batch", "queries/s", "speedup", "pool hit",
+               "effective hit", "reads/query"});
   auto add = [&](const std::string& name, const Measurement& m,
                  const Measurement& serial, uint64_t buffer_pages,
-                 uint64_t batch_size, rtree::ScanKernel kernel) {
-    EmitRow(report.AddConfig(name), m, serial, buffer_pages, batch_size,
-            kernel);
+                 uint64_t batch_size) {
+    EmitRow(report.AddConfig(name), m, serial, buffer_pages, batch_size);
     table.AddRow(
-        {name, Table::Int(batch_size),
-         batch_size <= 1 ? "-" : std::string(rtree::ScanKernelName(kernel)),
-         Table::Num(m.queries_per_sec, 0),
+        {name, Table::Int(batch_size), Table::Num(m.queries_per_sec, 0),
          Table::Num(m.queries_per_sec /
                         std::max(serial.queries_per_sec, 1e-9),
                     2) +
@@ -224,27 +211,19 @@ int Run(int argc, char** argv) {
   // Resident regime: pure CPU comparison.
   const Measurement res_serial =
       RunMode(w, &gen, total_pages, query_seed, warmup, queries,
-              /*batch_size=*/1, rtree::ScanKernel::kScalar);
-  const Measurement res_scalar =
-      RunMode(w, &gen, total_pages, query_seed, warmup, queries, batch,
-              rtree::ScanKernel::kScalar);
-  const Measurement res_simd = RunMode(w, &gen, total_pages, query_seed,
-                                       warmup, queries, batch, best);
-  RTB_CHECK(res_scalar.result_count == res_serial.result_count);
-  RTB_CHECK(res_simd.result_count == res_serial.result_count);
-  add("region_resident_serial", res_serial, res_serial, total_pages, 1,
-      rtree::ScanKernel::kScalar);
-  add("region_resident_batched_scalar", res_scalar, res_serial, total_pages,
-      batch, rtree::ScanKernel::kScalar);
-  add("region_resident_batched_simd", res_simd, res_serial, total_pages,
-      batch, best);
+              /*batch_size=*/1);
+  const Measurement res_batched = RunMode(w, &gen, total_pages, query_seed,
+                                          warmup, queries, batch);
+  RTB_CHECK(res_batched.result_count == res_serial.result_count);
+  add("region_resident_serial", res_serial, res_serial, total_pages, 1);
+  add("region_resident_batched_simd", res_batched, res_serial, total_pages,
+      batch);
 
   // Buffer-starved regime: hit-rate comparison from batch 64 up.
   const Measurement small_serial =
       RunMode(w, &gen, small_buffer, query_seed, warmup, queries,
-              /*batch_size=*/1, rtree::ScanKernel::kScalar);
-  add("region_smallbuf_serial", small_serial, small_serial, small_buffer, 1,
-      rtree::ScanKernel::kScalar);
+              /*batch_size=*/1);
+  add("region_smallbuf_serial", small_serial, small_serial, small_buffer, 1);
   std::vector<uint64_t> small_batches = {64, batch, batch * 4};
   std::sort(small_batches.begin(), small_batches.end());
   small_batches.erase(
@@ -252,10 +231,10 @@ int Run(int argc, char** argv) {
       small_batches.end());
   for (uint64_t b : small_batches) {
     const Measurement m = RunMode(w, &gen, small_buffer, query_seed, warmup,
-                                  queries, b, best);
+                                  queries, b);
     RTB_CHECK(m.result_count == small_serial.result_count);
     add("region_smallbuf_batched" + Table::Int(b), m, small_serial,
-        small_buffer, b, best);
+        small_buffer, b);
   }
 
   table.Print();

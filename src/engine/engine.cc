@@ -273,7 +273,6 @@ Result<RunReport> Run(const ExperimentSpec& spec) {
     options.warmup = c == 0 ? spec.workload.warmup : 0;
     options.queries = cls.count;
     options.batch_size = spec.workload.batch_size;
-    options.shared_frontier = spec.workload.shared_frontier;
     if (cls.IsMixed()) {
       options.insert_frac = cls.insert_frac;
       options.delete_frac = cls.delete_frac;

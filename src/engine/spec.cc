@@ -217,9 +217,6 @@ Status ParseWorkload(const JsonValue& v, WorkloadSpec* out) {
     } else if (key == "batch_size") {
       RTB_RETURN_IF_ERROR(
           GetUint(value, "workload.batch_size", &out->batch_size));
-    } else if (key == "shared_frontier") {
-      RTB_RETURN_IF_ERROR(GetBool(value, "workload.shared_frontier",
-                                  &out->shared_frontier));
     } else if (key == "update_batch_size") {
       RTB_RETURN_IF_ERROR(GetUint(value, "workload.update_batch_size",
                                   &out->update_batch_size));
@@ -357,9 +354,6 @@ Status ExperimentSpec::Validate() const {
   if (workload.batch_size == 0) {
     return Bad("workload.batch_size must be >= 1");
   }
-  if (workload.shared_frontier && workload.batch_size < 2) {
-    return Bad("workload.shared_frontier requires workload.batch_size >= 2");
-  }
   if (workload.update_batch_size == 0) {
     return Bad("workload.update_batch_size must be >= 1");
   }
@@ -403,10 +397,6 @@ Status ExperimentSpec::Validate() const {
       }
       if (run.threads != 1) {
         return Bad(ctx + " mixes updates, which requires run.threads == 1");
-      }
-      if (workload.shared_frontier) {
-        return Bad(ctx + " mixes updates, which conflicts with "
-                   "workload.shared_frontier");
       }
     }
     if (sim::GeneratorNeedsCenters(cls.query.center) && !tree.index.empty() &&
@@ -464,7 +454,6 @@ report::JsonDict ExperimentSpec::ToJsonDict() const {
   report::JsonDict wl;
   wl.PutInt("warmup", workload.warmup);
   wl.PutInt("batch_size", workload.batch_size);
-  wl.PutBool("shared_frontier", workload.shared_frontier);
   wl.PutInt("update_batch_size", workload.update_batch_size);
   std::vector<report::JsonDict> classes;
   for (const QueryClassSpec& cls : workload.classes) {

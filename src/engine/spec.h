@@ -132,11 +132,6 @@ struct WorkloadSpec {
   /// serial per-query loop; >= 2 groups queries and visits each distinct
   /// page once per batch (level-synchronous traversal).
   uint64_t batch_size = 1;
-  /// One page-ordered frontier shared by all workers
-  /// (rtree::SharedBatchExecutor) instead of a private frontier per worker:
-  /// duplicate page visits coalesce across threads. Requires
-  /// batch_size >= 2.
-  bool shared_frontier = false;
   /// Updates of a mixed class buffered per rtree::UpdateBatchExecutor
   /// batch (group-by-leaf application, vectored dirty-page writeback).
   /// 1 = apply each update tuple-at-a-time through RTree::Insert /

@@ -131,17 +131,18 @@ class NodeView {
   /// Equivalent to rect(i).Intersects(q) for a non-empty `q`, but reads
   /// coordinates straight off the page with per-axis early exit: the common
   /// miss costs one or two loads instead of a 4-double copy plus a full
-  /// Rect comparison.
+  /// Rect comparison. The tests are written as negated ordered compares, so
+  /// an entry with a NaN coordinate matches nothing, as in Rect.
   bool Intersects(size_t i, const geom::Rect& q) const {
     RTB_DCHECK(i < count_);
     const uint8_t* p = entries_ + i * kEntrySize;
     double lox, loy, hix, hiy;
     std::memcpy(&lox, p, sizeof(double));
-    if (lox > q.hi.x) return false;
+    if (!(lox <= q.hi.x)) return false;
     std::memcpy(&hix, p + 2 * sizeof(double), sizeof(double));
-    if (hix < q.lo.x || hix < lox) return false;  // Disjoint or empty.
+    if (!(hix >= q.lo.x && hix >= lox)) return false;  // Disjoint or empty.
     std::memcpy(&loy, p + sizeof(double), sizeof(double));
-    if (loy > q.hi.y) return false;
+    if (!(loy <= q.hi.y)) return false;
     std::memcpy(&hiy, p + 3 * sizeof(double), sizeof(double));
     return hiy >= q.lo.y && hiy >= loy;
   }

@@ -1,118 +1,107 @@
 #include "rtree/scan_kernel.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 
-#if defined(RTB_SIMD_ENABLED) && defined(__x86_64__)
-#define RTB_SCAN_HAVE_X86 1
+#if defined(__x86_64__)
 #include <immintrin.h>
-#else
-#define RTB_SCAN_HAVE_X86 0
-#endif
-
-#if defined(RTB_SIMD_ENABLED) && defined(__aarch64__)
-#define RTB_SCAN_HAVE_NEON 1
-#include <arm_neon.h>
-#else
-#define RTB_SCAN_HAVE_NEON 0
 #endif
 
 namespace rtb::rtree {
 
 namespace {
 
-// Scalar test of one slot; also the tail loop of the vector sweeps. The
-// validity bit folds in the entry-non-empty term so every sweep agrees with
-// NodeView::Intersects (see header).
-inline bool TestSlot(const ScanScratch& s, const geom::Rect& q, size_t i) {
-  if (((s.valid()[i >> 6] >> (i & 63)) & 1) == 0) return false;
-  return s.xlo()[i] <= q.hi.x && s.xhi()[i] >= q.lo.x &&
-         s.ylo()[i] <= q.hi.y && s.yhi()[i] >= q.lo.y;
-}
-
-size_t SweepScalar(const ScanScratch& s, const geom::Rect& q, uint32_t* out) {
+// The one sweep body. Each block of up to 64 slots builds its hit mask with
+// plain compares and no early exit, so the compiler vectorizes the block at
+// whatever width the instantiation's target allows; the mask is ANDed with
+// the block's validity word (which folds in the entry-non-empty term, see
+// header) and the set bits are emitted in ascending order. Ordered compares
+// are NaN-false, matching NodeView::Intersects.
+[[gnu::always_inline]] inline size_t Sweep(const ScanScratch& s,
+                                           const geom::Rect& q,
+                                           uint32_t* out) {
+  const double* xlo = s.xlo();
+  const double* ylo = s.ylo();
+  const double* xhi = s.xhi();
+  const double* yhi = s.yhi();
   const size_t count = s.count();
   size_t n = 0;
-  for (size_t i = 0; i < count; ++i) {
-    if (TestSlot(s, q, i)) out[n++] = static_cast<uint32_t>(i);
-  }
-  return n;
-}
-
-#if RTB_SCAN_HAVE_X86
-
-// Two entries per step. The step is 2 and validity words hold 64 bits, so a
-// step's 2-bit window never straddles a word.
-size_t SweepSse2(const ScanScratch& s, const geom::Rect& q, uint32_t* out) {
-  const size_t count = s.count();
-  const __m128d qhx = _mm_set1_pd(q.hi.x), qlx = _mm_set1_pd(q.lo.x);
-  const __m128d qhy = _mm_set1_pd(q.hi.y), qly = _mm_set1_pd(q.lo.y);
-  size_t n = 0;
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const unsigned vbits =
-        static_cast<unsigned>((s.valid()[i >> 6] >> (i & 63)) & 0x3u);
-    if (vbits == 0) continue;
-    __m128d m = _mm_and_pd(_mm_cmple_pd(_mm_loadu_pd(s.xlo() + i), qhx),
-                           _mm_cmpge_pd(_mm_loadu_pd(s.xhi() + i), qlx));
-    m = _mm_and_pd(m, _mm_cmple_pd(_mm_loadu_pd(s.ylo() + i), qhy));
-    m = _mm_and_pd(m, _mm_cmpge_pd(_mm_loadu_pd(s.yhi() + i), qly));
-    unsigned mask = static_cast<unsigned>(_mm_movemask_pd(m)) & vbits;
-    while (mask != 0) {
-      out[n++] = static_cast<uint32_t>(i + __builtin_ctz(mask));
-      mask &= mask - 1;
+  for (size_t base = 0; base < count; base += 64) {
+    const size_t len = std::min<size_t>(64, count - base);
+    uint64_t hits = 0;
+    for (size_t j = 0; j < len; ++j) {
+      const size_t i = base + j;
+      const bool hit = (xlo[i] <= q.hi.x) & (xhi[i] >= q.lo.x) &
+                       (ylo[i] <= q.hi.y) & (yhi[i] >= q.lo.y);
+      hits |= uint64_t{hit} << j;
+    }
+    for (hits &= s.valid()[base >> 6]; hits != 0; hits &= hits - 1) {
+      out[n++] = static_cast<uint32_t>(base + __builtin_ctzll(hits));
     }
   }
-  for (; i < count; ++i) {
-    if (TestSlot(s, q, i)) out[n++] = static_cast<uint32_t>(i);
-  }
   return n;
 }
 
-// Four entries per step (step 4 divides 64: no word straddle either).
-// _CMP_*_OQ compares are quiet and NaN-false, matching the scalar sweep.
-__attribute__((target("avx2"))) size_t SweepAvx2(const ScanScratch& s,
+using GatherFn = void (*)(NodeView, ScanScratch*);
+using SweepFn = size_t (*)(const ScanScratch&, const geom::Rect&, uint32_t*);
+
+struct Kernels {
+  GatherFn gather;
+  SweepFn sweep;
+};
+
+Kernels ResolveKernels() {
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) {
+    return {detail::GatherAvx2, detail::SweepAvx2};
+  }
+#endif
+  return {detail::GatherPortable, detail::SweepPortable};
+}
+
+const Kernels& ActiveKernels() {
+  static const Kernels kernels = ResolveKernels();
+  return kernels;
+}
+
+}  // namespace
+
+namespace detail {
+
+void GatherPortable(NodeView view, ScanScratch* scratch) {
+  scratch->Reset(view);
+  scratch->GatherTail(view, 0);
+}
+
+size_t SweepPortable(const ScanScratch& scratch, const geom::Rect& q,
+                     uint32_t* out) {
+  return Sweep(scratch, q, out);
+}
+
+#if defined(__x86_64__)
+
+__attribute__((target("avx2"))) size_t SweepAvx2(const ScanScratch& scratch,
                                                  const geom::Rect& q,
                                                  uint32_t* out) {
-  const size_t count = s.count();
-  const __m256d qhx = _mm256_set1_pd(q.hi.x), qlx = _mm256_set1_pd(q.lo.x);
-  const __m256d qhy = _mm256_set1_pd(q.hi.y), qly = _mm256_set1_pd(q.lo.y);
-  size_t n = 0;
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const unsigned vbits =
-        static_cast<unsigned>((s.valid()[i >> 6] >> (i & 63)) & 0xFu);
-    if (vbits == 0) continue;
-    __m256d m = _mm256_and_pd(
-        _mm256_cmp_pd(_mm256_loadu_pd(s.xlo() + i), qhx, _CMP_LE_OQ),
-        _mm256_cmp_pd(_mm256_loadu_pd(s.xhi() + i), qlx, _CMP_GE_OQ));
-    m = _mm256_and_pd(
-        m, _mm256_cmp_pd(_mm256_loadu_pd(s.ylo() + i), qhy, _CMP_LE_OQ));
-    m = _mm256_and_pd(
-        m, _mm256_cmp_pd(_mm256_loadu_pd(s.yhi() + i), qly, _CMP_GE_OQ));
-    unsigned mask = static_cast<unsigned>(_mm256_movemask_pd(m)) & vbits;
-    while (mask != 0) {
-      out[n++] = static_cast<uint32_t>(i + __builtin_ctz(mask));
-      mask &= mask - 1;
-    }
-  }
-  for (; i < count; ++i) {
-    if (TestSlot(s, q, i)) out[n++] = static_cast<uint32_t>(i);
-  }
-  return n;
+  return Sweep(scratch, q, out);
 }
 
 // Gathers 4 entries per step: each entry's rect is 4 contiguous doubles at
 // a 40-byte stride, so four unaligned row loads plus a 4x4 transpose yield
 // the xlo/ylo/xhi/yhi columns directly. Validity (hi >= lo per axis, quiet
-// NaN-false like the scalar test) is computed on the transposed columns.
-// Returns the number of slots handled (a multiple of 4 <= n); the caller
-// finishes the tail with the scalar loop.
-__attribute__((target("avx2"))) size_t GatherAvx2(
-    const uint8_t* entries, size_t n, double* xlo, double* ylo, double* xhi,
-    double* yhi, uint64_t* ids, uint64_t* valid) {
+// NaN-false like the portable test) is computed on the transposed columns.
+// The tail of fewer than 4 entries goes through the portable loop.
+__attribute__((target("avx2"))) void GatherAvx2(NodeView view,
+                                                ScanScratch* scratch) {
+  scratch->Reset(view);
+  const uint8_t* entries = view.raw_entries();
+  const size_t n = scratch->count_;
+  double* xlo = scratch->xlo_.data();
+  double* ylo = scratch->ylo_.data();
+  double* xhi = scratch->xhi_.data();
+  double* yhi = scratch->yhi_.data();
+  uint64_t* ids = scratch->ids_.data();
+  uint64_t* valid = scratch->valid_.data();
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const uint8_t* p = entries + i * kEntrySize;
@@ -145,124 +134,14 @@ __attribute__((target("avx2"))) size_t GatherAvx2(
     const uint64_t bits = static_cast<unsigned>(_mm256_movemask_pd(ok));
     valid[i >> 6] |= bits << (i & 63);  // Step 4: never straddles a word.
   }
-  return i;
+  scratch->GatherTail(view, i);
 }
 
-#endif  // RTB_SCAN_HAVE_X86
+#endif  // defined(__x86_64__)
 
-#if RTB_SCAN_HAVE_NEON
+}  // namespace detail
 
-// Two entries per step, mirroring SweepSse2. vcle/vcge are IEEE quiet
-// compares (NaN-false), matching the scalar sweep.
-size_t SweepNeon(const ScanScratch& s, const geom::Rect& q, uint32_t* out) {
-  const size_t count = s.count();
-  const float64x2_t qhx = vdupq_n_f64(q.hi.x), qlx = vdupq_n_f64(q.lo.x);
-  const float64x2_t qhy = vdupq_n_f64(q.hi.y), qly = vdupq_n_f64(q.lo.y);
-  size_t n = 0;
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const unsigned vbits =
-        static_cast<unsigned>((s.valid()[i >> 6] >> (i & 63)) & 0x3u);
-    if (vbits == 0) continue;
-    uint64x2_t m = vandq_u64(vcleq_f64(vld1q_f64(s.xlo() + i), qhx),
-                             vcgeq_f64(vld1q_f64(s.xhi() + i), qlx));
-    m = vandq_u64(m, vcleq_f64(vld1q_f64(s.ylo() + i), qhy));
-    m = vandq_u64(m, vcgeq_f64(vld1q_f64(s.yhi() + i), qly));
-    const unsigned mask0 =
-        (static_cast<unsigned>(vgetq_lane_u64(m, 0) & 1) |
-         static_cast<unsigned>((vgetq_lane_u64(m, 1) & 1) << 1));
-    unsigned mask = mask0 & vbits;
-    while (mask != 0) {
-      out[n++] = static_cast<uint32_t>(i + __builtin_ctz(mask));
-      mask &= mask - 1;
-    }
-  }
-  for (; i < count; ++i) {
-    if (TestSlot(s, q, i)) out[n++] = static_cast<uint32_t>(i);
-  }
-  return n;
-}
-
-#endif  // RTB_SCAN_HAVE_NEON
-
-ScanKernel DetectBestKernel() {
-#if RTB_SCAN_HAVE_X86
-  if (__builtin_cpu_supports("avx2")) return ScanKernel::kAvx2;
-  return ScanKernel::kSse2;  // SSE2 is the x86-64 baseline.
-#elif RTB_SCAN_HAVE_NEON
-  return ScanKernel::kNeon;  // NEON is the aarch64 baseline.
-#else
-  return ScanKernel::kScalar;
-#endif
-}
-
-// Whether this binary + CPU can run `k`. Cross-architecture requests (neon
-// on x86, sse2/avx2 on aarch64) are unavailable, not merely capped.
-bool KernelAvailable(ScanKernel k) {
-  switch (k) {
-    case ScanKernel::kScalar:
-      return true;
-    case ScanKernel::kSse2:
-    case ScanKernel::kAvx2:
-#if RTB_SCAN_HAVE_X86
-      return static_cast<int>(k) <= static_cast<int>(DetectBestKernel());
-#else
-      return false;
-#endif
-    case ScanKernel::kNeon:
-      return RTB_SCAN_HAVE_NEON != 0;
-  }
-  return false;
-}
-
-ScanKernel CapToBest(ScanKernel requested) {
-  return KernelAvailable(requested) ? requested : DetectBestKernel();
-}
-
-ScanKernel InitialKernel() {
-  if (const char* env = std::getenv("RTB_SCAN_KERNEL")) {
-    if (std::strcmp(env, "scalar") == 0) return ScanKernel::kScalar;
-    if (std::strcmp(env, "sse2") == 0) return CapToBest(ScanKernel::kSse2);
-    if (std::strcmp(env, "avx2") == 0) return CapToBest(ScanKernel::kAvx2);
-    if (std::strcmp(env, "neon") == 0) return CapToBest(ScanKernel::kNeon);
-  }
-  return DetectBestKernel();
-}
-
-std::atomic<ScanKernel>& ActiveKernelSlot() {
-  static std::atomic<ScanKernel> slot{InitialKernel()};
-  return slot;
-}
-
-}  // namespace
-
-const char* ScanKernelName(ScanKernel k) {
-  switch (k) {
-    case ScanKernel::kScalar:
-      return "scalar";
-    case ScanKernel::kSse2:
-      return "sse2";
-    case ScanKernel::kAvx2:
-      return "avx2";
-    case ScanKernel::kNeon:
-      return "neon";
-  }
-  return "unknown";
-}
-
-ScanKernel BestScanKernel() { return DetectBestKernel(); }
-
-ScanKernel ActiveScanKernel() {
-  return ActiveKernelSlot().load(std::memory_order_relaxed);
-}
-
-bool SetScanKernel(ScanKernel k) {
-  if (!KernelAvailable(k)) return false;
-  ActiveKernelSlot().store(k, std::memory_order_relaxed);
-  return true;
-}
-
-void ScanScratch::Load(NodeView view) {
+void ScanScratch::Reset(NodeView view) {
   count_ = view.count();
   level_ = view.level();
   const size_t n = count_;
@@ -276,17 +155,10 @@ void ScanScratch::Load(NodeView view) {
   const size_t words = (n + 63) / 64;
   if (valid_.size() < words) valid_.resize(words);
   std::fill(valid_.begin(), valid_.begin() + words, 0);
-  size_t i = 0;
-#if RTB_SCAN_HAVE_X86
-  // The gather rides the sweep dispatch: forcing the scalar sweep (tests,
-  // the bench's batched-scalar row) also forces the scalar gather, so each
-  // kernel setting measures one coherent path.
-  if (ActiveScanKernel() == ScanKernel::kAvx2) {
-    i = GatherAvx2(view.raw_entries(), n, xlo_.data(), ylo_.data(),
-                   xhi_.data(), yhi_.data(), ids_.data(), valid_.data());
-  }
-#endif
-  for (; i < n; ++i) {
+}
+
+void ScanScratch::GatherTail(NodeView view, size_t begin) {
+  for (size_t i = begin; i < count_; ++i) {
     const geom::Rect r = view.rect(i);
     xlo_[i] = r.lo.x;
     ylo_[i] = r.lo.y;
@@ -299,22 +171,11 @@ void ScanScratch::Load(NodeView view) {
   }
 }
 
+void ScanScratch::Load(NodeView view) { ActiveKernels().gather(view, this); }
+
 size_t ScanIntersecting(const ScanScratch& scratch, const geom::Rect& q,
                         uint32_t* out) {
-  switch (ActiveScanKernel()) {
-#if RTB_SCAN_HAVE_X86
-    case ScanKernel::kAvx2:
-      return SweepAvx2(scratch, q, out);
-    case ScanKernel::kSse2:
-      return SweepSse2(scratch, q, out);
-#endif
-#if RTB_SCAN_HAVE_NEON
-    case ScanKernel::kNeon:
-      return SweepNeon(scratch, q, out);
-#endif
-    default:
-      return SweepScalar(scratch, q, out);
-  }
+  return ActiveKernels().sweep(scratch, q, out);
 }
 
 }  // namespace rtb::rtree

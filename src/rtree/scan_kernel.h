@@ -1,13 +1,13 @@
-// Vectorized node-scan kernel used by the batch executor.
+// Node-scan kernel used by the batch executor.
 //
 // A node visit in the batched path tests one page's entries against many
 // query rectangles. Entry coordinates live interleaved on the page (40-byte
 // stride, see node.h); scanning them with NodeView::Intersects costs a
 // strided load pattern per query. The kernel instead gathers the page's
 // rects once into a structure-of-arrays scratch (xlo/ylo/xhi/yhi as dense
-// double arrays) and then answers each query with a branch-free sweep that
-// tests 2 (SSE2) or 4 (AVX2) entries per step, amortizing the gather over
-// every query that shares the visit.
+// double arrays) and then answers each query with a branch-free sweep over
+// those columns, amortizing the gather over every query that shares the
+// visit.
 //
 // Semantics match NodeView::Intersects exactly for a non-empty query `q`:
 // slot i matches iff
@@ -19,17 +19,10 @@
 // The entry-validity term does not depend on the query, so it is computed
 // once per gather and stored as a bitmask.
 //
-// Kernel selection: the widest instruction set the CPU supports is picked
-// at runtime on first use (function multiversioning is not needed — the
-// SIMD bodies carry `target` attributes and are only called behind a
-// cpu-support check). On aarch64 the NEON sweep is the (only) vector
-// kernel; it is part of the architecture baseline, so detection is purely
-// a compile-time gate. Builds with -DRTB_SIMD=OFF compile the scalar sweep
-// only. The environment variable RTB_SCAN_KERNEL=scalar|sse2|avx2|neon
-// caps the initial choice (used by the forced-scalar CI leg), and
-// SetScanKernel() overrides it programmatically (used by benches and
-// tests). Requesting a kernel for the wrong architecture dispatches the
-// scalar sweep.
+// The sweep is one plain loop compiled twice: portably, and with
+// `target("avx2")` on x86-64, where the compiler vectorizes it. The gather
+// has a portable loop and a hand-written AVX2 4x4 transpose. A cpuid check
+// picks the AVX2 pair once per process; nothing else selects a kernel.
 
 #ifndef RTB_RTREE_SCAN_KERNEL_H_
 #define RTB_RTREE_SCAN_KERNEL_H_
@@ -43,32 +36,20 @@
 
 namespace rtb::rtree {
 
-/// Which sweep implementation ScanIntersecting dispatches to. The numeric
-/// order is the capability ladder used by BestScanKernel/SetScanKernel;
-/// kNeon sits above the x86 kernels because the two families never coexist
-/// in one binary and NEON is the widest (only) vector kernel on aarch64.
-enum class ScanKernel {
-  kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
-  kNeon = 3,
-};
+class ScanScratch;
 
-/// Human-readable kernel name ("scalar", "sse2", "avx2", "neon").
-const char* ScanKernelName(ScanKernel k);
-
-/// Widest kernel this binary + CPU can run (compile-time RTB_SIMD gate and
-/// runtime cpuid check combined).
-ScanKernel BestScanKernel();
-
-/// Kernel currently used by ScanIntersecting. Initially the minimum of
-/// BestScanKernel() and the RTB_SCAN_KERNEL environment override.
-ScanKernel ActiveScanKernel();
-
-/// Selects `k` for subsequent ScanIntersecting calls. Returns false (and
-/// changes nothing) when the CPU or build cannot run `k`. kScalar always
-/// succeeds.
-bool SetScanKernel(ScanKernel k);
+namespace detail {
+// The variants behind ScanScratch::Load and ScanIntersecting, exposed for
+// tests. The Avx2 ones exist on x86-64 only and need an AVX2 CPU.
+void GatherPortable(NodeView view, ScanScratch* scratch);
+size_t SweepPortable(const ScanScratch& scratch, const geom::Rect& q,
+                     uint32_t* out);
+#if defined(__x86_64__)
+void GatherAvx2(NodeView view, ScanScratch* scratch);
+size_t SweepAvx2(const ScanScratch& scratch, const geom::Rect& q,
+                 uint32_t* out);
+#endif
+}  // namespace detail
 
 /// Structure-of-arrays copy of one node's entry rects plus a validity
 /// bitmask. Reused across visits: Load() only grows its buffers, so a
@@ -96,6 +77,16 @@ class ScanScratch {
   const uint64_t* valid() const { return valid_.data(); }
 
  private:
+  friend void detail::GatherPortable(NodeView, ScanScratch*);
+#if defined(__x86_64__)
+  friend void detail::GatherAvx2(NodeView, ScanScratch*);
+#endif
+
+  // Sizes the buffers for `view` and clears its validity words.
+  void Reset(NodeView view);
+  // Fills slots [begin, count) one entry at a time.
+  void GatherTail(NodeView view, size_t begin);
+
   std::vector<double> xlo_, ylo_, xhi_, yhi_;
   std::vector<uint64_t> ids_;
   std::vector<uint64_t> valid_;

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "rtree/batch.h"
-#include "rtree/shared_batch.h"
 #include "rtree/update_batch.h"
 
 namespace rtb::sim {
@@ -57,10 +55,6 @@ Result<WorkloadResult> ExecuteMixed(rtree::RTree* tree,
       options.insert_frac + options.delete_frac > 1.0) {
     return Status::InvalidArgument(
         "insert_frac/delete_frac must be in [0, 1] with sum <= 1");
-  }
-  if (options.shared_frontier) {
-    return Status::InvalidArgument(
-        "mixed update workloads do not support shared_frontier");
   }
   if (options.delete_frac > 0.0 && options.dataset == nullptr) {
     return Status::InvalidArgument(
@@ -170,77 +164,42 @@ Result<WorkloadResult> ExecuteMixed(rtree::RTree* tree,
   return result;
 }
 
-// The one executor behind both public entry points. `rngs[w]` is worker w's
-// stream: borrowed from the caller for the legacy serial path, freshly
-// seeded substreams for the options path.
+// The pure-query executor: worker w draws its slice of each phase from its
+// own substream Rng(base_seed + w), kept across the warm-up and measured
+// phases.
 Result<WorkloadResult> ExecuteWorkload(rtree::RTree* tree,
                                        storage::PageStore* store,
                                        QueryGenerator* gen,
-                                       const std::vector<Rng*>& rngs,
-                                       uint64_t warmup, uint64_t queries,
-                                       uint64_t batch_size,
-                                       bool shared_frontier) {
+                                       const WorkloadOptions& options) {
   RTB_CHECK(tree != nullptr && store != nullptr && gen != nullptr);
-  const uint32_t threads = static_cast<uint32_t>(rngs.size());
-  if (threads == 0) {
-    return Status::InvalidArgument("threads must be >= 1");
-  }
-  if (shared_frontier && batch_size < 2) {
-    return Status::InvalidArgument(
-        "shared_frontier requires batch_size >= 2");
+  const uint32_t threads = options.threads;
+  const uint64_t batch_size = options.batch_size;
+  std::vector<Rng> rngs;
+  rngs.reserve(threads);
+  for (uint32_t w = 0; w < threads; ++w) {
+    rngs.emplace_back(options.base_seed + w);
   }
 
   std::vector<Status> statuses(threads, Status::OK());
   WorkloadResult result;
   result.per_worker.assign(threads, WorkerResult{});
 
-  // One shared executor for both phases: its elevator sweep alternates
-  // across every Run of the whole workload, like BatchExecutor's does
-  // within a worker.
-  std::optional<rtree::SharedBatchExecutor> shared;
-  if (shared_frontier) shared.emplace(tree, threads);
-
   // Worker w's slice of a phase: its share of `total` queries drawn from
   // its RNG stream, in the same order in every mode (the generators consume
   // a fixed number of draws per query). batch_size <= 1 keeps the
   // historical per-query loop verbatim; larger batches route through the
-  // level-synchronous executor — per-worker frontiers by default, the one
-  // shared frontier when requested. Node-access counts go to *nodes when
-  // non-null (the measured phase).
+  // level-synchronous executor with a private frontier per worker.
+  // Node-access counts go to *nodes when non-null (the measured phase).
   auto run_slice = [&](uint32_t w, uint64_t total, uint64_t* nodes)
       -> Status {
     const uint64_t n = SliceSize(total, threads, w);
-    if (shared.has_value()) {
-      rtree::BatchStats stats;
-      std::vector<geom::Rect> batch;
-      std::vector<std::vector<rtree::ObjectId>> results;
-      batch.reserve(batch_size);
-      // SharedBatchExecutor::Run is collective, so every worker must make
-      // the same number of calls: round the *largest* slice (worker 0's)
-      // up to whole batches, and keep participating with an empty batch
-      // once this worker's slice is exhausted.
-      const uint64_t rounds =
-          (SliceSize(total, threads, 0) + batch_size - 1) / batch_size;
-      uint64_t done = 0;
-      for (uint64_t r = 0; r < rounds; ++r) {
-        const uint64_t k = std::min<uint64_t>(batch_size, n - done);
-        batch.clear();
-        for (uint64_t i = 0; i < k; ++i) {
-          batch.push_back(gen->Next(*rngs[w]));
-        }
-        RTB_RETURN_IF_ERROR(shared->Run(w, batch, &results, &stats));
-        done += k;
-      }
-      if (nodes != nullptr) *nodes = stats.node_accesses;
-      return Status::OK();
-    }
     if (batch_size <= 1) {
       std::vector<rtree::ObjectId> sink;
       rtree::QueryStats stats;
       rtree::QueryStats* stats_arg = nodes != nullptr ? &stats : nullptr;
       for (uint64_t i = 0; i < n; ++i) {
         sink.clear();
-        RTB_RETURN_IF_ERROR(tree->Search(gen->Next(*rngs[w]), &sink,
+        RTB_RETURN_IF_ERROR(tree->Search(gen->Next(rngs[w]), &sink,
                                          stats_arg));
       }
       if (nodes != nullptr) *nodes = stats.nodes_accessed;
@@ -254,7 +213,7 @@ Result<WorkloadResult> ExecuteWorkload(rtree::RTree* tree,
     for (uint64_t done = 0; done < n;) {
       const uint64_t k = std::min<uint64_t>(batch_size, n - done);
       batch.clear();
-      for (uint64_t i = 0; i < k; ++i) batch.push_back(gen->Next(*rngs[w]));
+      for (uint64_t i = 0; i < k; ++i) batch.push_back(gen->Next(rngs[w]));
       RTB_RETURN_IF_ERROR(executor.Run(batch, &results, &stats));
       done += k;
     }
@@ -265,7 +224,7 @@ Result<WorkloadResult> ExecuteWorkload(rtree::RTree* tree,
   // Phase 1: warm-up (not measured).
   const auto warmup_start = std::chrono::steady_clock::now();
   FanOut(threads, [&](uint32_t w) {
-    Status s = run_slice(w, warmup, nullptr);
+    Status s = run_slice(w, options.warmup, nullptr);
     if (!s.ok()) statuses[w] = std::move(s);
   });
   for (Status& s : statuses) {
@@ -283,12 +242,12 @@ Result<WorkloadResult> ExecuteWorkload(rtree::RTree* tree,
   // Phase 2: measured queries.
   FanOut(threads, [&](uint32_t w) {
     uint64_t nodes = 0;
-    Status s = run_slice(w, queries, &nodes);
+    Status s = run_slice(w, options.queries, &nodes);
     if (!s.ok()) {
       statuses[w] = std::move(s);
       return;
     }
-    result.per_worker[w].queries = SliceSize(queries, threads, w);
+    result.per_worker[w].queries = SliceSize(options.queries, threads, w);
     result.per_worker[w].node_accesses = nodes;
   });
   for (Status& s : statuses) {
@@ -335,28 +294,7 @@ Result<WorkloadResult> RunWorkload(rtree::RTree* tree,
     Rng rng(options.base_seed);
     return ExecuteMixed(tree, store, gen, &rng, options);
   }
-  // Per-worker deterministic RNG substreams; each worker keeps one stream
-  // across the warm-up and measured phases.
-  std::vector<Rng> rngs;
-  rngs.reserve(options.threads);
-  for (uint32_t w = 0; w < options.threads; ++w) {
-    rngs.emplace_back(options.base_seed + w);
-  }
-  std::vector<Rng*> rng_ptrs;
-  rng_ptrs.reserve(options.threads);
-  for (Rng& rng : rngs) rng_ptrs.push_back(&rng);
-  return ExecuteWorkload(tree, store, gen, rng_ptrs, options.warmup,
-                         options.queries, options.batch_size,
-                         options.shared_frontier);
-}
-
-Result<WorkloadResult> RunWorkload(rtree::RTree* tree,
-                                   storage::PageStore* store,
-                                   QueryGenerator* gen, Rng* rng,
-                                   uint64_t warmup, uint64_t queries) {
-  RTB_CHECK(rng != nullptr);
-  return ExecuteWorkload(tree, store, gen, {rng}, warmup, queries,
-                         /*batch_size=*/1, /*shared_frontier=*/false);
+  return ExecuteWorkload(tree, store, gen, options);
 }
 
 }  // namespace rtb::sim

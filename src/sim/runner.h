@@ -32,7 +32,6 @@
 #include "sim/query_gen.h"
 #include "storage/buffer_pool.h"
 #include "util/result.h"
-#include "util/rng.h"
 
 namespace rtb::sim {
 
@@ -92,14 +91,6 @@ struct WorkloadOptions {
   /// is identical in both modes (the generators draw a fixed number of RNG
   /// values per query), so a batched run sees the same query stream.
   uint64_t batch_size = 1;
-  /// Lift the per-worker frontiers into one page-ordered work queue shared
-  /// by all workers (rtree::SharedBatchExecutor): duplicate page visits
-  /// coalesce across threads, not just within a batch. Requires
-  /// batch_size >= 2. Workers then execute their rounds collectively, so a
-  /// worker with an exhausted slice still participates with an empty batch;
-  /// node-access counts are global per round and attributed to worker 0.
-  /// The query stream per worker is unchanged.
-  bool shared_frontier = false;
   /// Mixed insert/delete/search workload. Each operation first draws its
   /// rectangle from the generator, then a uniform double u classifies it:
   /// u < insert_frac inserts the rectangle with a fresh id;
@@ -107,9 +98,8 @@ struct WorkloadOptions {
   /// the present-entry ledger (degrading to an insert while the ledger is
   /// empty); otherwise it is a search. Both fractions 0 (the default) is
   /// the pure query workload, whose RNG stream and counters are unchanged.
-  /// Mixed runs mutate the tree, so they require threads == 1 and no
-  /// shared frontier; searches then run through the classic serial loop
-  /// regardless of batch_size.
+  /// Mixed runs mutate the tree, so they require threads == 1; searches
+  /// then run through the classic serial loop regardless of batch_size.
   double insert_frac = 0.0;
   double delete_frac = 0.0;
   /// Updates buffered per rtree::UpdateBatchExecutor batch (group-by-leaf
@@ -145,14 +135,6 @@ Result<WorkloadResult> RunWorkload(rtree::RTree* tree,
                                    storage::PageStore* store,
                                    QueryGenerator* gen,
                                    const WorkloadOptions& options);
-
-/// Legacy serial entry point: a thin wrapper over the unified executor that
-/// draws every query from the caller's `rng` (whose state advances), on the
-/// calling thread.
-Result<WorkloadResult> RunWorkload(rtree::RTree* tree,
-                                   storage::PageStore* store,
-                                   QueryGenerator* gen, Rng* rng,
-                                   uint64_t warmup, uint64_t queries);
 
 }  // namespace rtb::sim
 

@@ -226,7 +226,8 @@ TEST(SpecTest, ValidateRejectsSemanticErrors) {
 TEST(EngineTest, EquivalenceSerial) {
   const ExperimentSpec spec = BaseSpec();
 
-  // Legacy reference: the pre-engine serial pipeline, written out by hand.
+  // Reference: the pre-engine serial pipeline, built by hand and run
+  // through the runner's serial path (one thread, no batching).
   auto store = std::make_unique<storage::MemPageStore>();
   Rng data_rng(kDataSeed);
   auto rects = data::GenerateUniformPoints(spec.dataset.n, &data_rng);
@@ -242,10 +243,11 @@ TEST(EngineTest, EquivalenceSerial) {
                                  built->root, built->height);
   ASSERT_TRUE(tree.ok());
   sim::UniformPointGenerator gen;
-  Rng rng(kQuerySeed);
-  auto legacy = sim::RunWorkload(&*tree, store.get(), &gen, &rng,
-                                 spec.workload.warmup,
-                                 spec.workload.classes[0].count);
+  sim::WorkloadOptions options;
+  options.base_seed = kQuerySeed;
+  options.warmup = spec.workload.warmup;
+  options.queries = spec.workload.classes[0].count;
+  auto legacy = sim::RunWorkload(&*tree, store.get(), &gen, options);
   ASSERT_TRUE(legacy.ok());
   const storage::BufferStats legacy_stats = pool->AggregateStats();
   const storage::IoStats legacy_io = store->stats();
@@ -469,10 +471,6 @@ TEST(SpecTest, MixedWorkloadRoundTripAndValidation) {
   EXPECT_FALSE(spec.Validate().ok());
   spec = MixedSpec();
   spec.run.threads = 4;
-  EXPECT_FALSE(spec.Validate().ok());
-  spec = MixedSpec();
-  spec.workload.batch_size = 8;
-  spec.workload.shared_frontier = true;
   EXPECT_FALSE(spec.Validate().ok());
 }
 

@@ -56,17 +56,37 @@ constexpr uint64_t kSeed = 1998;
 constexpr uint64_t kWarmup = 2000;
 constexpr uint64_t kQueries = 10000;
 
+// The paper's serial stream written out as a plain loop: Rng(kSeed) drives
+// every query, warm-up first, then the measured queries.
+WorkloadResult SerialLoop(rtree::RTree* tree, storage::PageStore* store,
+                          QueryGenerator* gen) {
+  Rng rng(kSeed);
+  std::vector<rtree::ObjectId> sink;
+  for (uint64_t i = 0; i < kWarmup; ++i) {
+    sink.clear();
+    EXPECT_TRUE(tree->Search(gen->Next(rng), &sink).ok());
+  }
+  const uint64_t reads_before = store->stats().reads;
+  rtree::QueryStats stats;
+  for (uint64_t i = 0; i < kQueries; ++i) {
+    sink.clear();
+    EXPECT_TRUE(tree->Search(gen->Next(rng), &sink, &stats).ok());
+  }
+  WorkloadResult r;
+  r.queries = kQueries;
+  r.node_accesses = stats.nodes_accessed;
+  r.disk_accesses = store->stats().reads - reads_before;
+  return r;
+}
+
 TEST(ParallelWorkloadTest, OneThreadIsByteIdenticalToSerialRunner) {
   Fixture f = Fixture::Make(10000, kSeed);
   UniformPointGenerator gen;
 
-  // Serial reference: RunWorkload with Rng(kSeed).
+  // Serial reference: a plain query loop over Rng(kSeed).
   auto serial_pool = storage::BufferPool::MakeLru(f.store.get(), 50);
   rtree::RTree serial_tree = f.OpenTree(serial_pool.get());
-  Rng rng(kSeed);
-  auto serial = RunWorkload(&serial_tree, f.store.get(), &gen, &rng, kWarmup,
-                            kQueries);
-  ASSERT_TRUE(serial.ok());
+  const WorkloadResult serial = SerialLoop(&serial_tree, f.store.get(), &gen);
   storage::BufferStats serial_stats = serial_pool->AggregateStats();
   f.store->ResetStats();
 
@@ -81,11 +101,11 @@ TEST(ParallelWorkloadTest, OneThreadIsByteIdenticalToSerialRunner) {
   auto parallel = RunWorkload(&tree, f.store.get(), &gen, options);
   ASSERT_TRUE(parallel.ok());
 
-  EXPECT_EQ(parallel->queries, serial->queries);
-  EXPECT_EQ(parallel->disk_accesses, serial->disk_accesses);
-  EXPECT_EQ(parallel->node_accesses, serial->node_accesses);
+  EXPECT_EQ(parallel->queries, serial.queries);
+  EXPECT_EQ(parallel->disk_accesses, serial.disk_accesses);
+  EXPECT_EQ(parallel->node_accesses, serial.node_accesses);
   ASSERT_EQ(parallel->per_worker.size(), 1u);
-  EXPECT_EQ(parallel->per_worker[0].node_accesses, serial->node_accesses);
+  EXPECT_EQ(parallel->per_worker[0].node_accesses, serial.node_accesses);
   // The buffer pool saw the identical reference stream.
   storage::BufferStats stats = pool->AggregateStats();
   EXPECT_EQ(stats.requests, serial_stats.requests);
@@ -101,10 +121,7 @@ TEST(ParallelWorkloadTest, OneThreadOnSingleShardPoolMatchesSerial) {
 
   auto serial_pool = storage::BufferPool::MakeLru(f.store.get(), 50);
   rtree::RTree serial_tree = f.OpenTree(serial_pool.get());
-  Rng rng(kSeed);
-  auto serial = RunWorkload(&serial_tree, f.store.get(), &gen, &rng, kWarmup,
-                            kQueries);
-  ASSERT_TRUE(serial.ok());
+  const WorkloadResult serial = SerialLoop(&serial_tree, f.store.get(), &gen);
   f.store->ResetStats();
 
   auto pool = storage::ShardedBufferPool::MakeLru(f.store.get(), 50, 1);
@@ -116,9 +133,9 @@ TEST(ParallelWorkloadTest, OneThreadOnSingleShardPoolMatchesSerial) {
   options.queries = kQueries;
   auto parallel = RunWorkload(&tree, f.store.get(), &gen, options);
   ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(parallel->queries, serial->queries);
-  EXPECT_EQ(parallel->disk_accesses, serial->disk_accesses);
-  EXPECT_EQ(parallel->node_accesses, serial->node_accesses);
+  EXPECT_EQ(parallel->queries, serial.queries);
+  EXPECT_EQ(parallel->disk_accesses, serial.disk_accesses);
+  EXPECT_EQ(parallel->node_accesses, serial.node_accesses);
 }
 
 TEST(ParallelWorkloadTest, RunsAreReproducibleAcrossInvocations) {

@@ -1,19 +1,12 @@
-// Tests for the SIMD node-scan kernel (rtree/scan_kernel.h):
-//
-//   * property test — every available kernel (scalar, sse2, avx2) returns
-//     exactly the slots NodeView::Intersects accepts, on random nodes
-//     including empty entries, degenerate point rects, touching edges, and
-//     counts crossing the 64-entry validity-word boundary;
-//   * dispatch — SetScanKernel caps at BestScanKernel, kScalar always
-//     selectable, ActiveScanKernel reflects the choice;
-//   * gather — ScanScratch id/level/count passthrough matches the view.
-//
-// The forced-scalar CI leg (ctest: scan_kernel_test_scalar) runs this same
-// binary with RTB_SCAN_KERNEL=scalar, which caps the *initial* kernel; the
-// property test then iterates the kernels the hardware offers anyway, so
-// both configurations exercise the scalar sweep and the env-var path.
+// Tests for the node-scan kernel (rtree/scan_kernel.h): every gather
+// (portable, AVX2) paired with every sweep (portable, AVX2) returns exactly
+// the slots NodeView::Intersects accepts, for every entry count from 0 to
+// 130 (so the 64-slot validity words are crossed twice), on nodes mixing
+// random rects, degenerate points, touching edges, empty and inverted
+// entries and NaN coordinates. The AVX2 variants run only on CPUs that have AVX2.
 
-#include <algorithm>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +19,31 @@ namespace {
 
 using geom::Rect;
 
+using GatherFn = void (*)(NodeView, ScanScratch*);
+using SweepFn = size_t (*)(const ScanScratch&, const Rect&, uint32_t*);
+
+template <typename Fn>
+struct Variant {
+  std::string name;
+  Fn fn;
+};
+
+std::vector<Variant<GatherFn>> Gathers() {
+  std::vector<Variant<GatherFn>> v = {{"portable", detail::GatherPortable}};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) v.push_back({"avx2", detail::GatherAvx2});
+#endif
+  return v;
+}
+
+std::vector<Variant<SweepFn>> Sweeps() {
+  std::vector<Variant<SweepFn>> v = {{"portable", detail::SweepPortable}};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) v.push_back({"avx2", detail::SweepAvx2});
+#endif
+  return v;
+}
+
 Rect RandomRect(Rng& rng, double max_side) {
   const double x = rng.NextDouble() * (1.0 - max_side);
   const double y = rng.NextDouble() * (1.0 - max_side);
@@ -33,175 +51,142 @@ Rect RandomRect(Rng& rng, double max_side) {
               y + rng.NextDouble() * max_side);
 }
 
-// Restores the active kernel on scope exit so tests compose.
-class KernelGuard {
- public:
-  KernelGuard() : saved_(ActiveScanKernel()) {}
-  ~KernelGuard() { SetScanKernel(saved_); }
-
- private:
-  ScanKernel saved_;
-};
-
-std::vector<ScanKernel> AvailableKernels() {
-  KernelGuard guard;  // Probing mutates the active kernel; restore it.
-  std::vector<ScanKernel> kernels;
-  for (ScanKernel k : {ScanKernel::kScalar, ScanKernel::kSse2,
-                       ScanKernel::kAvx2, ScanKernel::kNeon}) {
-    if (SetScanKernel(k)) kernels.push_back(k);
+// One entry of a test node. Most are ordinary rects; the rest are the edge
+// cases both implementations must agree on.
+Rect RandomEntry(Rng& rng) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rect r = RandomRect(rng, 0.3);
+  switch (rng.NextUint64() % 12) {
+    case 0:
+      return Rect::Empty();
+    case 1:
+      return Rect::FromPoint({rng.NextDouble(), rng.NextDouble()});
+    case 2:
+      return Rect(0.5, 0.5, 0.5, 0.5);  // Touches the fixed queries' edges.
+    case 3: {
+      double* coords[] = {&r.lo.x, &r.lo.y, &r.hi.x, &r.hi.y};
+      *coords[rng.NextUint64() % 4] = nan;
+      return r;
+    }
+    case 4:  // Inverted on one axis: empty, yet each bound may overlap q.
+      return rng.NextUint64() % 2 == 0 ? Rect(r.hi.x, r.lo.y, r.lo.x, r.hi.y)
+                                       : Rect(r.lo.x, r.hi.y, r.hi.x, r.lo.y);
+    default:
+      return r;
   }
-  return kernels;
 }
 
-TEST(ScanKernelDispatchTest, ScalarAlwaysSelectable) {
-  KernelGuard guard;
-  EXPECT_TRUE(SetScanKernel(ScanKernel::kScalar));
-  EXPECT_EQ(ActiveScanKernel(), ScanKernel::kScalar);
+std::vector<Rect> Queries(Rng& rng) {
+  return {Rect(0.0, 0.0, 1.0, 1.0),   // Everything non-empty and NaN-free.
+          Rect(0.5, 0.5, 0.75, 0.75),  // Shares an edge/corner with (0.5,0.5).
+          Rect(0.25, 0.25, 0.5, 0.5),
+          Rect::FromPoint({rng.NextDouble(), rng.NextDouble()}),
+          RandomRect(rng, 0.6), RandomRect(rng, 0.6)};
 }
 
-TEST(ScanKernelDispatchTest, BestKernelSelectable) {
-  KernelGuard guard;
-  EXPECT_TRUE(SetScanKernel(BestScanKernel()));
-  EXPECT_EQ(ActiveScanKernel(), BestScanKernel());
-}
-
-TEST(ScanKernelDispatchTest, KernelNamesResolve) {
-  EXPECT_STREQ(ScanKernelName(ScanKernel::kScalar), "scalar");
-  EXPECT_STREQ(ScanKernelName(ScanKernel::kSse2), "sse2");
-  EXPECT_STREQ(ScanKernelName(ScanKernel::kAvx2), "avx2");
-  EXPECT_STREQ(ScanKernelName(ScanKernel::kNeon), "neon");
-}
-
-TEST(ScanKernelDispatchTest, CrossArchKernelsRejected) {
-  KernelGuard guard;
-#if defined(__x86_64__)
-  EXPECT_FALSE(SetScanKernel(ScanKernel::kNeon));
-#elif defined(__aarch64__)
-  EXPECT_FALSE(SetScanKernel(ScanKernel::kSse2));
-  EXPECT_FALSE(SetScanKernel(ScanKernel::kAvx2));
-#endif
-}
-
-TEST(ScanKernelPropertyTest, AllKernelsMatchNodeViewIntersects) {
-  KernelGuard guard;
+TEST(ScanKernelTest, EveryVariantMatchesNodeViewIntersects) {
   Rng rng(202);
-  std::vector<uint8_t> page(4096);
+  std::vector<uint8_t> page(8192);
   std::vector<uint32_t> matches(NodeCapacity(page.size()));
-  ScanScratch scratch;
+  ASSERT_GE(matches.size(), 130u);
 
-  for (int trial = 0; trial < 150; ++trial) {
+  for (size_t count = 0; count <= 130; ++count) {
     Node node;
-    node.level = static_cast<uint16_t>(rng.NextUint64() % 3);
-    // Bias the count toward > 64 so the validity mask's second word and the
-    // vector sweeps' tail loops are exercised.
-    const size_t count =
-        trial % 2 == 0 ? 65 + rng.NextUint64() % 38 : rng.NextUint64() % 65;
+    node.level = static_cast<uint16_t>(count % 3);
     for (size_t i = 0; i < count; ++i) {
-      Rect r;
-      const uint64_t shape = rng.NextUint64() % 10;
-      if (shape == 0) {
-        r = Rect::Empty();  // Never matches, in either implementation.
-      } else if (shape == 1) {
-        const geom::Point p{rng.NextDouble(), rng.NextDouble()};
-        r = Rect::FromPoint(p);  // Degenerate but valid.
-      } else {
-        r = RandomRect(rng, 0.3);
-      }
-      node.entries.push_back(Entry{r, rng.NextUint64()});
+      node.entries.push_back(Entry{RandomEntry(rng), rng.NextUint64()});
     }
     ASSERT_TRUE(SerializeNode(node, page.size(), page.data()).ok());
     auto view = NodeView::Create(page.data(), page.size());
     ASSERT_TRUE(view.ok());
+    const std::vector<Rect> queries = Queries(rng);
 
-    scratch.Load(*view);
-    ASSERT_EQ(scratch.count(), count);
-    ASSERT_EQ(scratch.level(), node.level);
-    for (size_t i = 0; i < count; ++i) {
-      ASSERT_EQ(scratch.id(i), node.entries[i].id) << i;
-    }
-
-    for (int q = 0; q < 6; ++q) {
-      const Rect query =
-          q == 0 ? Rect::FromPoint({rng.NextDouble(), rng.NextDouble()})
-                 : RandomRect(rng, 0.6);
-      std::vector<uint32_t> expected;
+    for (const auto& gather : Gathers()) {
+      ScanScratch scratch;
+      gather.fn(*view, &scratch);
+      ASSERT_EQ(scratch.count(), count) << gather.name;
+      ASSERT_EQ(scratch.level(), node.level) << gather.name;
       for (size_t i = 0; i < count; ++i) {
-        if (view->Intersects(i, query)) {
-          expected.push_back(static_cast<uint32_t>(i));
-        }
+        ASSERT_EQ(scratch.id(i), node.entries[i].id) << gather.name << i;
       }
-      for (ScanKernel k : AvailableKernels()) {
-        ASSERT_TRUE(SetScanKernel(k));
-        const size_t n = ScanIntersecting(scratch, query, matches.data());
-        const std::vector<uint32_t> got(matches.begin(),
-                                        matches.begin() + n);
-        ASSERT_EQ(got, expected)
-            << "kernel " << ScanKernelName(k) << " trial " << trial
-            << " query " << q;
+      for (const auto& sweep : Sweeps()) {
+        for (const Rect& q : queries) {
+          std::vector<uint32_t> expected;
+          for (size_t i = 0; i < count; ++i) {
+            if (view->Intersects(i, q)) {
+              expected.push_back(static_cast<uint32_t>(i));
+            }
+          }
+          const size_t n = sweep.fn(scratch, q, matches.data());
+          ASSERT_EQ(std::vector<uint32_t>(matches.begin(),
+                                          matches.begin() + n),
+                    expected)
+              << "gather " << gather.name << " sweep " << sweep.name
+              << " count " << count;
+        }
       }
     }
   }
 }
 
-TEST(ScanKernelPropertyTest, FullNodeAllMatch) {
-  KernelGuard guard;
-  // A full fanout-102 node whose every entry contains the query: all slots
-  // must come back, in ascending order, across every kernel.
+TEST(ScanKernelTest, NanEntriesNeverMatch) {
+  // An entry with a NaN in any coordinate matches nothing, even a query
+  // covering the whole plane, in NodeView::Intersects and every variant.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   std::vector<uint8_t> page(4096);
   Node node;
   node.level = 0;
-  const size_t count = NodeCapacity(page.size());
-  for (size_t i = 0; i < count; ++i) {
-    node.entries.push_back(Entry{Rect(0.0, 0.0, 1.0, 1.0), i});
-  }
+  node.entries = {{Rect(nan, 0.0, 1.0, 1.0), 0}, {Rect(0.0, nan, 1.0, 1.0), 1},
+                  {Rect(0.0, 0.0, nan, 1.0), 2}, {Rect(0.0, 0.0, 1.0, nan), 3},
+                  {Rect(0.0, 0.0, 1.0, 1.0), 4}};
   ASSERT_TRUE(SerializeNode(node, page.size(), page.data()).ok());
   auto view = NodeView::Create(page.data(), page.size());
   ASSERT_TRUE(view.ok());
+  const Rect plane(-inf, -inf, inf, inf);
+  for (size_t i = 0; i < 4; ++i) EXPECT_FALSE(view->Intersects(i, plane)) << i;
+  EXPECT_TRUE(view->Intersects(4, plane));
 
-  ScanScratch scratch;
-  scratch.Load(*view);
-  std::vector<uint32_t> matches(count);
-  const Rect query(0.4, 0.4, 0.5, 0.5);
-  for (ScanKernel k : AvailableKernels()) {
-    ASSERT_TRUE(SetScanKernel(k));
-    ASSERT_EQ(ScanIntersecting(scratch, query, matches.data()), count)
-        << ScanKernelName(k);
-    for (size_t i = 0; i < count; ++i) {
-      EXPECT_EQ(matches[i], i);
+  uint32_t matches[8];
+  for (const auto& gather : Gathers()) {
+    ScanScratch scratch;
+    gather.fn(*view, &scratch);
+    for (const auto& sweep : Sweeps()) {
+      ASSERT_EQ(sweep.fn(scratch, plane, matches), 1u)
+          << gather.name << " " << sweep.name;
+      EXPECT_EQ(matches[0], 4u);
     }
   }
 }
 
-TEST(ScanKernelScratchTest, ReloadShrinksCount) {
+TEST(ScanKernelTest, ReloadShrinksCount) {
   // A scratch reused across pages must not leak state from a bigger node
   // into a smaller one (buffers only grow; count/validity must not).
-  KernelGuard guard;
   std::vector<uint8_t> page(4096);
-  ScanScratch scratch;
-  std::vector<uint32_t> matches(NodeCapacity(page.size()));
-
   Node big;
   big.level = 0;
   for (size_t i = 0; i < 90; ++i) {
     big.entries.push_back(Entry{Rect(0.0, 0.0, 1.0, 1.0), i});
   }
-  ASSERT_TRUE(SerializeNode(big, page.size(), page.data()).ok());
-  scratch.Load(*NodeView::Create(page.data(), page.size()));
-  ASSERT_EQ(scratch.count(), 90u);
-
   Node small;
   small.level = 0;
   small.entries.push_back(Entry{Rect(0.0, 0.0, 0.1, 0.1), 7});
-  ASSERT_TRUE(SerializeNode(small, page.size(), page.data()).ok());
-  scratch.Load(*NodeView::Create(page.data(), page.size()));
-  ASSERT_EQ(scratch.count(), 1u);
 
   const Rect everywhere(0.0, 0.0, 1.0, 1.0);
-  for (ScanKernel k : AvailableKernels()) {
-    ASSERT_TRUE(SetScanKernel(k));
-    ASSERT_EQ(ScanIntersecting(scratch, everywhere, matches.data()), 1u)
-        << ScanKernelName(k);
-    EXPECT_EQ(matches[0], 0u);
+  std::vector<uint32_t> matches(NodeCapacity(page.size()));
+  for (const auto& gather : Gathers()) {
+    ScanScratch scratch;
+    ASSERT_TRUE(SerializeNode(big, page.size(), page.data()).ok());
+    gather.fn(*NodeView::Create(page.data(), page.size()), &scratch);
+    ASSERT_EQ(scratch.count(), 90u);
+    ASSERT_TRUE(SerializeNode(small, page.size(), page.data()).ok());
+    gather.fn(*NodeView::Create(page.data(), page.size()), &scratch);
+    ASSERT_EQ(scratch.count(), 1u);
+    for (const auto& sweep : Sweeps()) {
+      ASSERT_EQ(sweep.fn(scratch, everywhere, matches.data()), 1u)
+          << gather.name << " " << sweep.name;
+      EXPECT_EQ(matches[0], 0u);
+    }
   }
 }
 

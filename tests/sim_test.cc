@@ -374,9 +374,11 @@ TEST(RunnerTest, PinTopLevelsMakesThemFree) {
                                  built->height);
   ASSERT_TRUE(tree.ok());
   UniformPointGenerator gen;
-  Rng rng(467);
-  auto result = RunWorkload(&*tree, &store, &gen, &rng, /*warmup=*/500,
-                            /*queries=*/500);
+  WorkloadOptions options;
+  options.base_seed = 467;
+  options.warmup = 500;
+  options.queries = 500;
+  auto result = RunWorkload(&*tree, &store, &gen, options);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->node_accesses, 0u);
   // With the top 2 levels pinned and a warm buffer, per-query disk

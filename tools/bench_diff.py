@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Compare two benchmark reports and gate on throughput regressions.
+"""Compare benchmark reports and gate on throughput regressions.
 
 Usage:
-    tools/bench_diff.py BASELINE.json CANDIDATE.json [--threshold 0.10]
+    tools/bench_diff.py BASELINE.json CANDIDATE.json [CANDIDATE.json ...]
+                        [--threshold 0.10]
 
-Both files must be the same kind of report:
+All files must be the same kind of report:
 
   * a bench report (BENCH_*.json: {"bench": ..., "configs": [...]}) — rows
     are matched by their "config" name and the gated metric is
@@ -14,17 +15,21 @@ Both files must be the same kind of report:
     rows are matched by class "label" (plus the "totals" row) and the gated
     metric is "queries_per_second".
 
-For every row present in both reports the script prints the throughput
-delta plus any other shared numeric metrics that moved. It exits non-zero
-iff some row's throughput regressed by more than --threshold (default 10%),
-which makes it usable as a perf gate:
+Several CANDIDATE files are repeated runs of one binary: each row's
+gated throughput is the median over the runs, so a single run slowed by
+a busy host cannot fail the gate on its own, while a regression that
+shows in most runs still does. For every baseline row the script prints
+the throughput delta plus any other shared numeric metrics of the first
+candidate that moved. It exits non-zero iff some row's median throughput
+regressed by more than --threshold (default 10%), which makes it usable
+as a perf gate:
 
-    build/bench/micro_batch_query --json=/tmp/new.json
-    tools/bench_diff.py BENCH_micro_batch_query.json /tmp/new.json
+    for i in 1 2 3; do build/bench/micro_batch_query --json=/tmp/new$i.json; done
+    tools/bench_diff.py BENCH_micro_batch_query.json /tmp/new[123].json
 
-Rows that exist only in the candidate are reported but never fail the
+Rows that exist only in the candidates are reported but never fail the
 gate, so adding a configuration does not require a baseline refresh in the
-same change. Rows that exist only in the *baseline* fail the gate: a bench
+same change. A baseline row missing from any candidate fails the gate: a bench
 config that silently stopped running (or was renamed without refreshing
 the baseline) would otherwise pass precisely because its regression became
 invisible.
@@ -32,6 +37,7 @@ invisible.
 
 import argparse
 import json
+import statistics
 import sys
 
 THROUGHPUT_KEYS = ("queries_per_sec", "queries_per_second",
@@ -74,41 +80,47 @@ def throughput(row):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="Diff two benchmark reports; fail on regression.")
+        description="Diff benchmark reports; fail on regression.")
     parser.add_argument("baseline")
-    parser.add_argument("candidate")
+    parser.add_argument("candidates", nargs="+", metavar="candidate")
     parser.add_argument(
         "--threshold", type=float, default=0.10,
         help="maximum tolerated fractional throughput drop (default 0.10)")
     args = parser.parse_args()
 
     base_kind, base = load_rows(args.baseline)
-    cand_kind, cand = load_rows(args.candidate)
-    if base_kind.split(":")[0] != cand_kind.split(":")[0]:
-        sys.exit("report kinds differ: %s vs %s" % (base_kind, cand_kind))
+    runs = []
+    for path in args.candidates:
+        cand_kind, rows = load_rows(path)
+        if base_kind.split(":")[0] != cand_kind.split(":")[0]:
+            sys.exit("report kinds differ: %s vs %s" % (base_kind, cand_kind))
+        runs.append((path, rows))
+    cand = runs[0][1]
 
     regressions = []
     missing = []
     print("%-36s %14s %14s %8s" % ("row", "baseline q/s", "candidate q/s",
                                    "delta"))
     for name in base:
-        if name not in cand:
+        if any(name not in rows for _, rows in runs):
             missing.append(name)
             print("%-36s only in baseline  << MISSING" % name)
             continue
-        b, c = throughput(base[name]), throughput(cand[name])
-        if b is None and c is None:
+        b = throughput(base[name])
+        cs = [(path, throughput(rows[name])) for path, rows in runs]
+        if b is None and all(c is None for _, c in cs):
             continue
-        if b is None or c is None:
-            # One side has a gateable throughput metric and the other does
-            # not — a silent skip here would pass a report the gate never
-            # actually examined. Name the offender and stop.
-            path = args.baseline if b is None else args.candidate
-            sys.exit(
-                "%s: row %r has none of the recognized throughput metrics "
-                "(%s) but the other report does — refresh the baseline or "
-                "fix the bench output" %
-                (path, name, ", ".join(THROUGHPUT_KEYS)))
+        for path, c in [(args.baseline, b)] + cs:
+            if c is None:
+                # One side has a gateable throughput metric and another
+                # does not — a silent skip here would pass a report the
+                # gate never actually examined. Name the offender and stop.
+                sys.exit(
+                    "%s: row %r has none of the recognized throughput "
+                    "metrics (%s) but another report does — refresh the "
+                    "baseline or fix the bench output" %
+                    (path, name, ", ".join(THROUGHPUT_KEYS)))
+        c = statistics.median(c for _, c in cs)
         delta = (c - b) / b
         flag = ""
         if delta < -args.threshold:
@@ -128,9 +140,8 @@ def main():
                 continue
             if bv != 0 and abs(cv - bv) / abs(bv) > INFO_DELTA:
                 print("    %-32s %14g %14g" % (key, bv, cv))
-    for name in cand:
-        if name not in base:
-            print("%-36s only in candidate" % name)
+    for name in sorted(set().union(*(rows for _, rows in runs)) - set(base)):
+        print("%-36s only in candidate" % name)
 
     failed = False
     if missing:
@@ -140,8 +151,8 @@ def main():
             print("  %s" % name)
         failed = True
     if regressions:
-        print("\n%d row(s) regressed more than %.0f%%:" %
-              (len(regressions), 100 * args.threshold))
+        print("\n%d row(s) regressed more than %.0f%% (median of %d run(s)):" %
+              (len(regressions), 100 * args.threshold, len(runs)))
         for name, delta in regressions:
             print("  %s: %.1f%%" % (name, 100 * delta))
         failed = True

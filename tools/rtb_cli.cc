@@ -388,7 +388,6 @@ constexpr char kQueryUsage[] =
     "usage: rtb_cli query --index=FILE --buffer=B --queries=N\n"
     "                     [--qx=QX --qy=QY --open=x|y --seed=S --warmup=W]\n"
     "                     [--threads=T --shards=S --batch=N]\n"
-    "                     [--shared=0|1]\n"
     "                     [--data=FILE --fanout=N]\n"
     "                     [--insert-frac=F --delete-frac=F "
     "--update-batch=N]\n"
@@ -399,8 +398,7 @@ constexpr char kQueryUsage[] =
     "  distinct page fetched once per batch); --batch=1 (default) is the\n"
     "  classic one-query-at-a-time loop. --open=x|y makes that axis of the\n"
     "  query rectangle open (partial-match: only the other axis\n"
-    "  constrains). --shared=1 shares one page-ordered frontier across all\n"
-    "  workers (needs --batch >= 2).\n"
+    "  constrains).\n"
     "  --data=FILE (instead of --index) bulk-loads the rectangle file into\n"
     "  an in-memory tree with --fanout. --insert-frac/--delete-frac turn\n"
     "  the stream into a mixed insert/delete/search workload (requires\n"
@@ -421,7 +419,7 @@ int CmdQuery(int argc, char** argv) {
              {"qx", "0"}, {"qy", "0"}, {"open", ""},
              {"seed", "1"}, {"warmup", "10000"},
              {"threads", "1"}, {"shards", "0"}, {"batch", "1"},
-             {"shared", "0"}, {"data", ""},
+             {"data", ""},
              {"fanout", "100"}, {"insert-frac", "0"}, {"delete-frac", "0"},
              {"update-batch", "1"}, {"store", ""}, {"wal", "0"},
              {"wal-window", "8"}});
@@ -455,7 +453,6 @@ int CmdQuery(int argc, char** argv) {
   spec.storage.wal.enabled = args.GetInt("wal") != 0;
   spec.storage.wal.group_commit_window =
       std::max<uint64_t>(1, args.GetInt("wal-window"));
-  spec.workload.shared_frontier = args.GetInt("shared") != 0;
   spec.workload.update_batch_size =
       std::max<uint64_t>(1, args.GetInt("update-batch"));
   engine::QueryClassSpec cls;
