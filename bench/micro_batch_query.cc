@@ -23,6 +23,15 @@
 //         acceptance criterion is batched effective_hit_rate > serial
 //         effective_hit_rate at batch_size >= 64.
 //
+// Two more rows time the node-scan sweep alone, over one full leaf (fanout
+// entries) and --queries rectangles inside its MBR; queries_per_sec there
+// is sweeps per second:
+//   * portable — detail::SweepPortable, called directly: what an x86-64
+//     CPU without AVX2 runs. Gated so it cannot silently lose its
+//     vectorization again.
+//   * active — ScanIntersecting, the sweep the batch executor runs on this
+//     CPU (the AVX2 instantiation where the CPU has it).
+//
 // Every mode replays the identical query stream (generators draw one Rng
 // value per query, independent of batching) and the result-id checksums are
 // asserted equal, so the rows differ only in execution strategy.
@@ -35,6 +44,7 @@
 
 #include "bench/common.h"
 #include "rtree/batch.h"
+#include "rtree/scan_kernel.h"
 
 namespace rtb::bench {
 namespace {
@@ -145,6 +155,47 @@ void EmitRow(JsonDict& row, const Measurement& m, const Measurement& serial,
   row.PutInt("result_count", m.result_count);
 }
 
+// Sweeps/s of `sweep` over the first leaf of the tree (left-most path),
+// against `queries` rects inside that leaf's MBR. `*matches` receives the
+// total slots reported, a checksum the two sweep rows must agree on.
+double TimeSweep(const Workload& w, uint64_t seed, uint64_t queries,
+                 size_t (*sweep)(const rtree::ScanScratch&, const Rect&,
+                                 uint32_t*),
+                 uint64_t* matches) {
+  const size_t page_size = w.store->page_size();
+  std::vector<uint8_t> page(page_size);
+  storage::PageId id = w.tree.root;
+  for (;;) {
+    RTB_CHECK(w.store->Read(id, page.data()).ok());
+    auto view = rtree::NodeView::Create(page.data(), page_size);
+    RTB_CHECK(view.ok());
+    if (view->is_leaf()) break;
+    id = static_cast<storage::PageId>(view->id(0));
+  }
+  auto view = rtree::NodeView::Create(page.data(), page_size);
+  rtree::ScanScratch scratch;
+  scratch.Load(*view);
+  Rect mbr = Rect::Empty();
+  for (uint16_t i = 0; i < view->count(); ++i) mbr = Union(mbr, view->rect(i));
+  const double w_side = (mbr.hi.x - mbr.lo.x) / 4;
+  const double h_side = (mbr.hi.y - mbr.lo.y) / 4;
+  Rng rng(seed);
+  std::vector<Rect> rects;
+  rects.reserve(queries);
+  for (uint64_t q = 0; q < queries; ++q) {
+    const double x = mbr.lo.x + rng.NextDouble() * (mbr.hi.x - mbr.lo.x);
+    const double y = mbr.lo.y + rng.NextDouble() * (mbr.hi.y - mbr.lo.y);
+    rects.emplace_back(x, y, x + w_side, y + h_side);
+  }
+  std::vector<uint32_t> out(scratch.count());
+  *matches = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (const Rect& q : rects) *matches += sweep(scratch, q, out.data());
+  const auto end = std::chrono::steady_clock::now();
+  const double seconds = std::chrono::duration<double>(end - start).count();
+  return seconds > 0.0 ? static_cast<double>(queries) / seconds : 0.0;
+}
+
 int Run(int argc, char** argv) {
   Flags flags(argc, argv,
               {{"seed", "1998"},
@@ -236,6 +287,22 @@ int Run(int argc, char** argv) {
     add("region_smallbuf_batched" + Table::Int(b), m, small_serial,
         small_buffer, b);
   }
+
+  // The sweep alone: the portable instantiation next to the dispatched one.
+  uint64_t portable_matches = 0;
+  uint64_t active_matches = 0;
+  Measurement portable;
+  portable.queries_per_sec = TimeSweep(w, query_seed, queries,
+                                       rtree::detail::SweepPortable,
+                                       &portable_matches);
+  Measurement active;
+  active.queries_per_sec = TimeSweep(w, query_seed, queries,
+                                     rtree::ScanIntersecting, &active_matches);
+  RTB_CHECK(portable_matches == active_matches);
+  portable.result_count = portable_matches;
+  active.result_count = active_matches;
+  add("portable", portable, active, total_pages, 1);
+  add("active", active, active, total_pages, 1);
 
   table.Print();
   if (!report.WriteFile(flags.GetString("json"))) return 1;

@@ -396,6 +396,7 @@ report::JsonDict RunReport::ToJsonDict() const {
     store.PutInt("wal_bytes", store_io.wal_bytes);
     store.PutInt("wal_commits", store_io.wal_commits);
     store.PutInt("wal_fsyncs", store_io.wal_fsyncs);
+    store.PutInt("wal_spare_frames", buffer.spare_frames);
   }
   doc.PutDict("store", store);
 

@@ -342,7 +342,7 @@ Status ExperimentSpec::Validate() const {
     return Bad("storage.backend 'file' conflicts with tree.index");
   }
   if (storage.wal.enabled && storage.backend != "file") {
-    // The log redoes/undoes pages of a real store file; an in-memory store
+    // The log redoes pages of a real store file; an in-memory store
     // has nothing to recover.
     return Bad("storage.wal.enabled requires storage.backend 'file'");
   }

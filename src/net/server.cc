@@ -683,6 +683,9 @@ report::JsonDict Server::StatsJson() const {
     wal.PutInt("bytes", ws.bytes);
     wal.PutInt("commits", ws.commits);
     wal.PutInt("fsyncs", ws.fsyncs);
+    // Frames the no-steal pool took beyond capacity (0 when every update
+    // drain's slices fit).
+    wal.PutInt("spare_frames", bs.spare_frames);
     doc.PutDict("wal", std::move(wal));
   }
   return doc;

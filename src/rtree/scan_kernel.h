@@ -20,7 +20,8 @@
 // once per gather and stored as a bitmask.
 //
 // The sweep is one plain loop compiled twice: portably, and with
-// `target("avx2")` on x86-64, where the compiler vectorizes it. The gather
+// `target("avx2")` on x86-64. Each instantiation builds its hit mask in
+// the form the compiler vectorizes at that width (see scan_kernel.cc). The gather
 // has a portable loop and a hand-written AVX2 4x4 transpose. A cpuid check
 // picks the AVX2 pair once per process; nothing else selects a kernel.
 

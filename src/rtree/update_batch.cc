@@ -28,78 +28,53 @@ Status UpdateBatchExecutor::Run(std::span<const UpdateOp> ops,
                                 UpdateBatchStats* stats,
                                 std::vector<uint8_t>* delete_found) {
   if (delete_found != nullptr) delete_found->assign(ops.size(), 0);
+  commits_.clear();
   if (ops.empty()) return Status::OK();
   for (const UpdateOp& op : ops) {
     if (op.kind == UpdateOp::Kind::kInsert && op.rect.is_empty()) {
       return Status::InvalidArgument("cannot insert an empty rectangle");
     }
   }
-  UpdateBatchStats local;
-  if (ops.size() == 1) {
-    // A batch of one is the serial algorithm, byte for byte: same descent,
-    // same R* overflow treatment, same write pattern. The batched passes
-    // below are logically equivalent but structurally different, so the
-    // boundary case delegates instead of imitating.
-    const UpdateOp& op = ops.front();
-    if (op.kind == UpdateOp::Kind::kInsert) {
-      RTB_RETURN_IF_ERROR(tree_->Insert(op.rect, op.id));
-      ++local.inserts;
-    } else {
-      RTB_ASSIGN_OR_RETURN(bool found, tree_->Delete(op.rect, op.id));
-      ++(found ? local.deletes_found : local.deletes_missing);
-      if (delete_found != nullptr && found) (*delete_found)[0] = 1;
-    }
-  } else {
-    if (ops.size() > static_cast<size_t>(UINT32_MAX)) {
-      return Status::InvalidArgument("update batch too large");
-    }
-    pending_.clear();
-    uint64_t total_deletes = 0;
-    for (const UpdateOp& op : ops) {
-      const bool is_delete = op.kind == UpdateOp::Kind::kDelete;
-      total_deletes += is_delete ? 1 : 0;
-      pending_.push_back(PendingOp{Entry{op.rect, op.id}, /*target_level=*/0,
-                                   is_delete, /*done=*/false});
-    }
-    bool first_pass = true;
-    while (!pending_.empty()) {
-      ++local.passes;
-      RTB_RETURN_IF_ERROR(RunPass(&local));
-      if (first_pass) {
-        // Only the first pass carries the batch's deletes (orphan passes
-        // are reinserts), and its pending_ indexes are the ops indexes, so
-        // this is the one place the per-op found/missing answer exists.
-        if (delete_found != nullptr) {
-          for (size_t i = 0; i < pending_.size(); ++i) {
-            if (pending_[i].is_delete && pending_[i].done) {
-              (*delete_found)[i] = 1;
-            }
-          }
-        }
-        first_pass = false;
-      }
-      // Condensation orphans become the next pass's operations.
-      pending_.swap(orphans_);
-    }
-    local.deletes_missing += total_deletes - local.deletes_found;
-    // Shrink a single-child internal root, exactly as the serial Delete
-    // does after reinsertion.
-    for (;;) {
-      RTB_ASSIGN_OR_RETURN(PageGuard guard, tree_->pool_->Fetch(tree_->root_));
-      RTB_ASSIGN_OR_RETURN(
-          NodeView view,
-          NodeView::Create(guard.data(), tree_->pool_->page_size()));
-      if (view.is_leaf() || view.count() != 1) break;
-      tree_->root_ = static_cast<PageId>(view.id(0));
-      --tree_->height_;
-    }
+  if (ops.size() > static_cast<size_t>(UINT32_MAX)) {
+    return Status::InvalidArgument("update batch too large");
   }
-  // Batch boundary = commit boundary: the pool images its modified pages
-  // and writes ONE commit record (a no-op without a WAL). No data-file I/O
-  // happens here unless the log is due an online checkpoint (no-force); a
-  // crash from now until the next commit rolls the tree back to exactly
-  // this point.
-  RTB_RETURN_IF_ERROR(tree_->pool_->WalCommit());
+  storage::PageCache* pool = tree_->pool_;
+  const bool sliced = pool->attached_wal() != nullptr;
+  // Uncommitted pages a slice aims to leave in the no-steal pool: a third
+  // of it, so the rest holds what the slice reads, and a slice whose ops
+  // dirty up to three times the predicted rate still fits.
+  const double budget = std::max(1.0, static_cast<double>(pool->capacity()) / 3);
+  auto next_slice = [&]() -> size_t {
+    if (!sliced) return ops.size();
+    // Before anything is measured, every op is taken to dirty its whole
+    // root-to-leaf path plus a split sibling. After that, the larger of the
+    // last two slices' rates: one delete whose rectangle many leaf MBRs
+    // contain dirties every one of those leaves, so the rate is
+    // heavy-tailed.
+    const double rate = rate_ > 0 ? std::max(rate_, prev_rate_)
+                                  : static_cast<double>(tree_->height_ + 1);
+    return std::max<size_t>(1, static_cast<size_t>(budget / rate));
+  };
+  UpdateBatchStats local;
+  for (size_t done = 0; done < ops.size();) {
+    const size_t n = std::min(next_slice(), ops.size() - done);
+    RTB_RETURN_IF_ERROR(ApplySlice(
+        ops.subspan(done, n), &local,
+        delete_found != nullptr ? delete_found->data() + done : nullptr));
+    if (sliced) {
+      prev_rate_ = rate_;
+      rate_ = static_cast<double>(pool->num_uncommitted()) /
+              static_cast<double>(n);
+    }
+    // Slice boundary = commit boundary: the pool images its uncommitted
+    // pages and writes ONE commit record (kNoLsn and a no-op without a
+    // WAL). No data-file I/O happens here unless the log is due an online
+    // checkpoint (no-force); a crash from now until the next commit rolls
+    // the tree back to exactly this op prefix.
+    RTB_ASSIGN_OR_RETURN(const storage::Lsn lsn, pool->WalCommit());
+    done += n;
+    commits_.push_back(UpdateCommit{done, lsn, tree_->root_, tree_->height_});
+  }
   if (stats != nullptr) {
     stats->inserts += local.inserts;
     stats->deletes_found += local.deletes_found;
@@ -109,6 +84,68 @@ Status UpdateBatchExecutor::Run(std::span<const UpdateOp> ops,
     stats->splits += local.splits;
     stats->condensed_nodes += local.condensed_nodes;
     stats->passes += local.passes;
+  }
+  return Status::OK();
+}
+
+Status UpdateBatchExecutor::ApplySlice(std::span<const UpdateOp> ops,
+                                       UpdateBatchStats* stats,
+                                       uint8_t* delete_found) {
+  if (ops.size() == 1) {
+    // A batch of one is the serial algorithm, byte for byte: same descent,
+    // same R* overflow treatment, same write pattern. The batched passes
+    // below are logically equivalent but structurally different, so the
+    // boundary case delegates instead of imitating.
+    const UpdateOp& op = ops.front();
+    if (op.kind == UpdateOp::Kind::kInsert) {
+      RTB_RETURN_IF_ERROR(tree_->Insert(op.rect, op.id));
+      ++stats->inserts;
+    } else {
+      RTB_ASSIGN_OR_RETURN(bool found, tree_->Delete(op.rect, op.id));
+      ++(found ? stats->deletes_found : stats->deletes_missing);
+      if (delete_found != nullptr && found) delete_found[0] = 1;
+    }
+    return Status::OK();
+  }
+  pending_.clear();
+  uint64_t total_deletes = 0;
+  for (const UpdateOp& op : ops) {
+    const bool is_delete = op.kind == UpdateOp::Kind::kDelete;
+    total_deletes += is_delete ? 1 : 0;
+    pending_.push_back(PendingOp{Entry{op.rect, op.id}, /*target_level=*/0,
+                                 is_delete, /*done=*/false});
+  }
+  const uint64_t found_before = stats->deletes_found;
+  bool first_pass = true;
+  while (!pending_.empty()) {
+    ++stats->passes;
+    RTB_RETURN_IF_ERROR(RunPass(stats));
+    if (first_pass) {
+      // Only the first pass carries the slice's deletes (orphan passes are
+      // reinserts), and its pending_ indexes are the ops indexes, so this
+      // is the one place the per-op found/missing answer exists.
+      if (delete_found != nullptr) {
+        for (size_t i = 0; i < pending_.size(); ++i) {
+          if (pending_[i].is_delete && pending_[i].done) delete_found[i] = 1;
+        }
+      }
+      first_pass = false;
+    }
+    // Condensation orphans become the next pass's operations.
+    pending_.swap(orphans_);
+  }
+  stats->deletes_missing +=
+      total_deletes - (stats->deletes_found - found_before);
+  // Shrink a single-child internal root, exactly as the serial Delete does
+  // after reinsertion.
+  for (;;) {
+    RTB_ASSIGN_OR_RETURN(PageGuard guard, tree_->pool_->Fetch(tree_->root_));
+    RTB_ASSIGN_OR_RETURN(
+        NodeView view,
+        NodeView::Create(guard.data(), tree_->pool_->page_size()));
+    if (view.is_leaf() || view.count() != 1) break;
+    tree_->root_ = static_cast<PageId>(view.id(0));
+    --tree_->height_;
   }
   return Status::OK();
 }

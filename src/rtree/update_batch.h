@@ -28,15 +28,25 @@
 //     from the highest orphans when a round dissolves all of its children,
 //     and a single-child internal root is shrunk after the last pass.
 //
-// Equivalence with the serial path: a batch of size <= 1 delegates to
+// Slices and commits. With a WAL attached the pool is no-steal: every page
+// a batch dirties stays in the pool until the commit that logs it. A drain
+// whose dirty set would not fit is therefore applied in slices of
+// consecutive ops, each committed before the next starts. Each slice is
+// sized to dirty about a third of the pool at the measured uncommitted
+// pages per op (the larger of the last two slices' rates, carried across
+// Run() calls; before the first measurement, height + 1 pages per op).
+// The rest of the pool holds the pages a slice reads. Without a WAL the
+// whole batch is one slice.
+//
+// Equivalence with the serial path: a batch (slice) of size <= 1 delegates to
 // RTree::Insert / RTree::Delete and is byte-identical to it by
 // construction. Larger batches are logically equivalent (same multiset of
 // leaf entries, structurally valid tree) but not byte-identical — the
-// batched descent chooses subtrees against the batch-start state, applies
+// batched descent chooses subtrees against the slice-start state, applies
 // plain (non-forced-reinsert) overflow handling, and when duplicate
 // (rect, id) entries exist in several leaves a delete may remove a
 // different copy than the serial order would. Deletes locate against the
-// batch-start state; deleting an entry inserted by the same batch is
+// slice-start state; deleting an entry inserted by the same batch is
 // unspecified. update_batch_test asserts both contracts against the
 // serial oracle.
 
@@ -89,6 +99,16 @@ struct UpdateBatchStats {
   uint64_t passes = 0;           ///< Locate/apply rounds incl. orphan passes.
 };
 
+/// One commit of a Run(): how much of the batch it covers and the tree it
+/// left. Recovery to `lsn` reopens the tree at (`root`, `height`) holding
+/// exactly the first `ops` operations of the batch.
+struct UpdateCommit {
+  size_t ops = 0;  ///< Operations of the batch applied up to this commit.
+  storage::Lsn lsn = storage::kNoLsn;  ///< Commit record (kNoLsn: no WAL).
+  storage::PageId root = storage::kInvalidPageId;
+  uint16_t height = 0;
+};
+
 /// Executes batches of inserts/deletes against one tree. Holds reusable
 /// frontier and grouping scratch, so one executor per thread; updates
 /// mutate the tree, so unlike BatchExecutor concurrent executors on one
@@ -104,11 +124,17 @@ class UpdateBatchExecutor {
   /// when non-null, is resized to ops.size(); entry i becomes 1 when op i
   /// is a delete that removed an entry, 0 otherwise — the per-op answer a
   /// serving tier needs to fan DELETE replies back out of a coalesced
-  /// batch. On error the tree may hold a partially applied batch; the pool
-  /// and pages stay structurally consistent (same contract as a failed
+  /// batch. With a WAL attached the batch may commit in several slices
+  /// (see the file comment); commits() lists them. On error the tree may
+  /// hold a partially applied batch — committed slices stay committed; the
+  /// pool and pages stay structurally consistent (same contract as a failed
   /// serial update).
   Status Run(std::span<const UpdateOp> ops, UpdateBatchStats* stats = nullptr,
              std::vector<uint8_t>* delete_found = nullptr);
+
+  /// The commits the last Run() made, in order (also those made before it
+  /// failed). Without a WAL a non-empty Run makes one, with kNoLsn.
+  const std::vector<UpdateCommit>& commits() const { return commits_; }
 
  private:
   // An operation in flight: the original batch's inserts/deletes plus
@@ -144,6 +170,11 @@ class UpdateBatchExecutor {
   static constexpr uint32_t ItemOp(uint64_t item) {
     return static_cast<uint32_t>(item);
   }
+
+  // Applies one slice of a batch (no commit). `delete_found`, when
+  // non-null, points at the slice's ops.size() entries.
+  Status ApplySlice(std::span<const UpdateOp> ops, UpdateBatchStats* stats,
+                    uint8_t* delete_found);
 
   // One locate/apply round over `pending_`: descends to each op's target
   // level, applies the grouped operations, propagates child updates to the
@@ -186,6 +217,10 @@ class UpdateBatchExecutor {
                           UpdateBatchStats* stats);
 
   RTree* tree_;
+  std::vector<UpdateCommit> commits_;
+  // Uncommitted pages per op of the last two slices (0 until measured).
+  double rate_ = 0.0;
+  double prev_rate_ = 0.0;
   std::vector<PendingOp> pending_;
   std::vector<PendingOp> orphans_;
   std::vector<uint64_t> frontier_;

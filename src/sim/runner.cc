@@ -92,7 +92,7 @@ Result<WorkloadResult> ExecuteMixed(rtree::RTree* tree,
         }
         // The serial path commits per drain too (the executor path commits
         // inside Run); a no-op when the pool has no WAL attached.
-        RTB_RETURN_IF_ERROR(tree->pool()->WalCommit());
+        RTB_RETURN_IF_ERROR(tree->pool()->WalCommit().status());
       } else {
         rtree::UpdateBatchStats ustats;
         RTB_RETURN_IF_ERROR(updater.Run(buffer, &ustats));

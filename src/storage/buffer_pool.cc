@@ -83,8 +83,9 @@ BufferPool::~BufferPool() {
 }
 
 Status BufferPool::Close() {
-  if (wal_ != nullptr) return WalCheckpoint();
-  return FlushAll();
+  if (wal_ == nullptr) return FlushAll();
+  if (!uncommitted_.empty()) RTB_RETURN_IF_ERROR(WalAppendCommit().status());
+  return WalCheckpoint();
 }
 
 Result<FrameId> BufferPool::AcquireFrame() {
@@ -95,6 +96,10 @@ Result<FrameId> BufferPool::AcquireFrame() {
   }
   FrameId victim;
   if (!policy_->Evict(&victim)) {
+    // No-steal: uncommitted pages may not leave the pool, so when they are
+    // what fills it the pool grows past capacity until the next commit
+    // rather than failing the batch that dirtied them.
+    if (!uncommitted_.empty()) return AcquireSpareFrame();
     return Status::ResourceExhausted(
         "buffer pool full: all frames pinned (capacity " +
         std::to_string(capacity_) + ")");
@@ -118,58 +123,87 @@ Result<FrameId> BufferPool::AcquireFrame() {
   return victim;
 }
 
+FrameId BufferPool::AcquireSpareFrame() {
+  ++stats_.spare_frames;
+  if (!free_spares_.empty()) {
+    const FrameId f = free_spares_.back();
+    free_spares_.pop_back();
+    return f;
+  }
+  const FrameId f = static_cast<FrameId>(frames_.size());
+  frames_.emplace_back();
+  spare_data_.push_back(std::make_unique<uint8_t[]>(page_size()));
+  page_table_.Reserve(frames_.size());
+  return f;
+}
+
+Status BufferPool::ReturnSpareFrames() {
+  for (FrameId f = static_cast<FrameId>(capacity_); f < frames_.size(); ++f) {
+    FrameMeta& meta = frames_[f];
+    if (!meta.in_use || meta.pin_count > 0 || meta.permanent) continue;
+    if (meta.dirty) RTB_RETURN_IF_ERROR(WritebackVictim(f));
+    page_table_.Erase(meta.page_id);
+    meta.Reset();
+    free_spares_.push_back(f);
+  }
+  return Status::OK();
+}
+
 Status BufferPool::WalBeforeWriteback(const FrameId* frames, size_t n) {
   if (wal_ == nullptr) return Status::OK();
   Lsn max_lsn = kNoLsn;
   for (size_t k = 0; k < n; ++k) {
-    FrameMeta& m = frames_[frames[k]];
-    if (m.wal_dirty) {
-      // Steal: the page leaves the pool mid-batch, so its current content
-      // must be in the log — it becomes committed state if the batch's
-      // commit record lands, and the already-logged before-image undoes it
-      // if not.
-      m.lsn = wal_->AppendPageImage(m.page_id, FrameData(frames[k]),
-                                    page_size());
-      m.wal_dirty = false;
-    }
-    max_lsn = std::max(max_lsn, m.lsn);
+    RTB_DCHECK(!frames_[frames[k]].uncommitted);
+    max_lsn = std::max(max_lsn, frames_[frames[k]].lsn);
   }
-  // WAL-before-data: every image covering these pages is durable before a
-  // single data byte is overwritten.
+  // WAL-before-data: the commit covering every one of these pages is
+  // durable before a single data byte is overwritten. After a commit, the
+  // first writeback pays one sync point and covers every page committed so
+  // far.
   return wal_->EnsureDurable(max_lsn);
 }
 
-void BufferPool::WalLogDirtyImages() {
-  if (wal_ == nullptr) return;
-  for (FrameId f = 0; f < frames_.size(); ++f) {
-    FrameMeta& m = frames_[f];
-    if (m.in_use && m.wal_dirty) {
-      m.lsn = wal_->AppendPageImage(m.page_id, FrameData(f), page_size());
-      m.wal_dirty = false;
-    }
+void BufferPool::WalLogUncommitted() {
+  for (const FrameId f : uncommitted_) {
+    wal_->AppendPageImage(frames_[f].page_id, FrameData(f), page_size());
   }
 }
 
-Status PageCache::WalCommit() {
-  WalWriter* wal = attached_wal();
-  if (wal == nullptr) return Status::OK();
-  RTB_RETURN_IF_ERROR(WalAppendCommit());
-  if (!wal->CheckpointDue()) return Status::OK();
-  return WalCheckpoint();
+Status BufferPool::WalMarkCommitted(Lsn commit) {
+  for (const FrameId f : uncommitted_) {
+    FrameMeta& m = frames_[f];
+    m.uncommitted = false;
+    m.lsn = commit;
+    if (m.pin_count == 0 && !m.permanent && !IsSpare(f)) {
+      policy_->SetEvictable(f, true);
+    }
+  }
+  uncommitted_.clear();
+  if (frames_.size() == capacity_) return Status::OK();
+  return ReturnSpareFrames();
 }
 
-Status BufferPool::WalAppendCommit() {
-  WalLogDirtyImages();
-  RTB_ASSIGN_OR_RETURN(Lsn lsn, wal_->Commit(store_->num_pages()));
-  (void)lsn;  // Durability is the writer's business (group-commit window).
-  return Status::OK();
+Result<Lsn> PageCache::WalCommit() {
+  WalWriter* wal = attached_wal();
+  if (wal == nullptr) return kNoLsn;
+  RTB_ASSIGN_OR_RETURN(const Lsn lsn, WalAppendCommit());
+  if (wal->CheckpointDue()) RTB_RETURN_IF_ERROR(WalCheckpoint());
+  return lsn;
+}
+
+Result<Lsn> BufferPool::WalAppendCommit() {
+  WalLogUncommitted();
+  RTB_ASSIGN_OR_RETURN(const Lsn lsn, wal_->Commit(store_->num_pages()));
+  RTB_RETURN_IF_ERROR(WalMarkCommitted(lsn));
+  return lsn;
 }
 
 Status BufferPool::WalCheckpoint() {
   if (wal_ == nullptr) return Status::OK();
-  // FlushAll logs images for anything still wal-dirty and ensures
-  // durability before its writes, so the store ends up a superset of the
-  // log; Sync makes it durable; then the log can restart empty.
+  // FlushAll writes every committed dirty page after ensuring its commit
+  // is durable, so the store ends up holding the committed state the log
+  // describes; Sync makes it durable; then the log can restart empty.
+  // Uncommitted pages stay in the pool for the next commit to log.
   RTB_RETURN_IF_ERROR(FlushAll());
   RTB_RETURN_IF_ERROR(store_->Sync());
   return wal_->Checkpoint(store_->num_pages());
@@ -179,9 +213,10 @@ void BufferPool::DiscardAll() {
   for (FrameMeta& m : frames_) {
     if (m.in_use) {
       m.dirty = false;
-      m.wal_dirty = false;
+      m.uncommitted = false;
     }
   }
+  uncommitted_.clear();
 }
 
 Status BufferPool::WritebackVictim(FrameId victim) {
@@ -204,7 +239,7 @@ Status BufferPool::WritebackVictim(FrameId victim) {
   wb_frames_.push_back(victim);
   const auto clusterable = [this](FrameId f) {
     const FrameMeta& m = frames_[f];
-    return m.dirty && m.pin_count == 0;
+    return m.dirty && m.pin_count == 0 && !m.uncommitted;
   };
   PageId lo = meta.page_id;
   PageId hi = meta.page_id;
@@ -258,6 +293,7 @@ Result<FrameId> BufferPool::PinPageNoRead(PageId id, bool* pending) {
     FrameId f = resident;
     FrameMeta& meta = frames_[f];
     const uint32_t prev = meta.pin_count++;
+    if (IsSpare(f)) return f;
     policy_->RecordAccess(f);
     if (prev == 0 && !meta.permanent) {
       policy_->SetEvictable(f, false);
@@ -273,8 +309,10 @@ Result<FrameId> BufferPool::PinPageNoRead(PageId id, bool* pending) {
   meta.dirty = false;
   meta.in_use = true;
   page_table_.Insert(id, f);
-  policy_->RecordAccess(f);
-  policy_->SetEvictable(f, false);
+  if (!IsSpare(f)) {
+    policy_->RecordAccess(f);
+    policy_->SetEvictable(f, false);
+  }
   *pending = true;
   return f;
 }
@@ -282,8 +320,12 @@ Result<FrameId> BufferPool::PinPageNoRead(PageId id, bool* pending) {
 void BufferPool::UninstallPending(FrameId f) {
   FrameMeta& meta = frames_[f];
   page_table_.Erase(meta.page_id);
-  policy_->Remove(f);
   meta.Reset();
+  if (IsSpare(f)) {
+    free_spares_.push_back(f);
+    return;
+  }
+  policy_->Remove(f);
   free_frames_.push_back(f);
 }
 
@@ -399,15 +441,6 @@ Result<PageGuard> BufferPool::Fetch(PageId id) {
 
 Result<PageGuard> BufferPool::FetchMutable(PageId id) {
   RTB_ASSIGN_OR_RETURN(FrameId f, PinPage(id));
-  FrameMeta& meta = frames_[f];
-  if (wal_ != nullptr && !meta.wal_dirty) {
-    // First modification of this page since its last logged image: capture
-    // the undo record now, while the frame still holds the pre-batch (or
-    // pre-steal) content. Conservative — a FetchMutable that never writes
-    // logs one redundant image.
-    meta.lsn = wal_->AppendBeforeImage(id, FrameData(f), page_size());
-    meta.wal_dirty = true;
-  }
   return PageGuard(this, Frame{id, FrameData(f), f}, /*mark_dirty=*/true);
 }
 
@@ -424,13 +457,12 @@ Result<FrameId> BufferPool::InstallNewPage(PageId id) {
   meta.permanent = false;
   meta.dirty = true;
   meta.in_use = true;
-  // A fresh page needs no before-image: undo of an uncommitted allocation
-  // is the recovery-time truncation to the committed page count.
-  meta.wal_dirty = wal_ != nullptr;
   std::fill(FrameData(f), FrameData(f) + page_size(), uint8_t{0});
   page_table_.Insert(id, f);
-  policy_->RecordAccess(f);
-  policy_->SetEvictable(f, false);
+  if (!IsSpare(f)) {
+    policy_->RecordAccess(f);
+    policy_->SetEvictable(f, false);
+  }
   return f;
 }
 
@@ -446,8 +478,17 @@ void BufferPool::Unpin(const Frame& frame, bool dirty) {
   FrameMeta& meta = frames_[f];
   const uint32_t prev = meta.pin_count--;
   RTB_CHECK(prev > 0);
-  if (dirty) meta.dirty = true;
-  if (prev == 1 && !meta.permanent) {
+  if (dirty) {
+    meta.dirty = true;
+    if (wal_ != nullptr && !meta.uncommitted) {
+      // No-steal: the page stays resident until a commit logs it. An
+      // uncommitted allocation needs nothing more: recovery truncates the
+      // store to the committed page count.
+      meta.uncommitted = true;
+      uncommitted_.push_back(f);
+    }
+  }
+  if (prev == 1 && !meta.permanent && !meta.uncommitted && !IsSpare(f)) {
     policy_->SetEvictable(f, true);
   }
 }
@@ -478,7 +519,7 @@ Status BufferPool::UnpinPermanently(PageId id) {
   }
   meta.permanent = false;
   --num_permanent_pins_;
-  if (meta.pin_count == 0) {
+  if (meta.pin_count == 0 && !meta.uncommitted && !IsSpare(f)) {
     policy_->SetEvictable(f, true);
   }
   return Status::OK();
@@ -489,14 +530,18 @@ Status BufferPool::EvictAll() {
   for (FrameId f = 0; f < frames_.size(); ++f) {
     FrameMeta& meta = frames_[f];
     if (!meta.in_use || meta.permanent) continue;
-    if (meta.pin_count > 0) {
+    if (meta.pin_count > 0 || meta.uncommitted) {
       return Status::FailedPrecondition(
           "cannot evict page " + std::to_string(meta.page_id) +
-          ": still pinned");
+          (meta.pin_count > 0 ? ": still pinned" : ": not committed"));
     }
-    policy_->Remove(f);
     page_table_.Erase(meta.page_id);
     meta.Reset();
+    if (IsSpare(f)) {
+      free_spares_.push_back(f);
+      continue;
+    }
+    policy_->Remove(f);
     free_frames_.push_back(f);
   }
   return Status::OK();
@@ -506,7 +551,8 @@ Status BufferPool::FlushAll() {
   wb_frames_.clear();
   for (FrameId f = 0; f < frames_.size(); ++f) {
     const FrameMeta& meta = frames_[f];
-    if (meta.in_use && meta.dirty) wb_frames_.push_back(f);
+    // No-steal: an uncommitted page waits for its commit.
+    if (meta.in_use && meta.dirty && !meta.uncommitted) wb_frames_.push_back(f);
   }
   if (wb_frames_.empty()) return Status::OK();
   // Page-id order turns the flush into the longest possible consecutive

@@ -40,6 +40,9 @@ struct BufferStats {
   uint64_t misses = 0;      // Required a disk read.
   uint64_t evictions = 0;   // Pages pushed out.
   uint64_t writebacks = 0;  // Dirty pages written on eviction/flush.
+  // Frames taken beyond capacity because every frame was pinned or held
+  // uncommitted pages (WAL-attached pools only; returned at commit).
+  uint64_t spare_frames = 0;
 
   double HitRate() const {
     return requests == 0 ? 0.0
@@ -53,6 +56,7 @@ struct BufferStats {
     misses += other.misses;
     evictions += other.evictions;
     writebacks += other.writebacks;
+    spare_frames += other.spare_frames;
     return *this;
   }
 };
@@ -159,34 +163,43 @@ class PageCache {
   virtual Status EvictAll() = 0;
 
   /// Attaches a write-ahead log (storage/wal.h), switching the cache to the
-  /// no-force + WAL-before-writeback discipline: the first modification of
-  /// a page since the last commit logs its before-image, commits log
-  /// after-images instead of forcing pages out, and any writeback (eviction
-  /// steal, FlushAll) first ensures the page's latest logged image is
-  /// durable. `wal` is not owned and must outlive the cache. Default: the
-  /// cache has no WAL and behaves exactly as before (the seam off).
+  /// no-steal, no-force discipline: a page modified since the last commit
+  /// is *uncommitted* — never an eviction victim, skipped by FlushAll —
+  /// until the next commit logs its after-image; commits log after-images
+  /// instead of forcing pages out; and any writeback of a committed page
+  /// first ensures its commit record is durable. When every frame is pinned
+  /// or uncommitted, a fetch takes a spare frame beyond capacity
+  /// (BufferStats::spare_frames) instead of stealing or failing; the next
+  /// commit writes it back and returns it. `wal` is not owned and must
+  /// outlive the cache. Default: the cache has no WAL and behaves exactly
+  /// as before (the seam off).
   virtual void AttachWal(WalWriter* wal) { (void)wal; }
 
   /// The writer passed to AttachWal, or null when the cache runs without a
   /// WAL.
   virtual WalWriter* attached_wal() const { return nullptr; }
 
-  /// Commit point for the attached WAL: logs an after-image for every page
-  /// modified since the last commit and appends one commit record (made
-  /// durable per the writer's group-commit window). Pages stay dirty in the
-  /// pool — no data-file I/O here (no-force). Then, once the log has grown
-  /// past its bound (WalWriter::CheckpointDue), runs WalCheckpoint online:
-  /// updates come from one thread at a time, so right after a commit no
-  /// page is dirty and uncommitted, and this is the close-time checkpoint
-  /// at a commit boundary. Every commit (the update
-  /// executor's and the serial runner's) comes through here, so this is
-  /// the one place that bounds the log. A no-op without a WAL.
-  Status WalCommit();
+  /// Commit point for the attached WAL: logs an after-image for every
+  /// uncommitted page and appends one commit record (made durable per the
+  /// writer's group-commit window); the pages become committed, evictable
+  /// and stay dirty in the pool — no data-file I/O here (no-force) except
+  /// to return spare frames. Then, once the log has grown past its bound
+  /// (WalWriter::CheckpointDue), runs WalCheckpoint online: updates come
+  /// from one thread at a time, so right after a commit no page is
+  /// uncommitted, and this is the close-time checkpoint at a commit
+  /// boundary. Every commit (the update executor's and the serial runner's)
+  /// comes through here, so this is the one place that bounds the log.
+  /// Returns the commit record's LSN; kNoLsn (a no-op) without a WAL.
+  Result<Lsn> WalCommit();
 
-  /// Checkpoint: flush every dirty page (WAL-first), fsync the store, then
-  /// truncate the log to a fresh checkpoint record. After this, recovery
-  /// has nothing to replay. A no-op without a WAL.
+  /// Checkpoint: flush every committed dirty page (WAL-first), fsync the
+  /// store, then truncate the log to a fresh checkpoint record. After this,
+  /// recovery has nothing to replay. A no-op without a WAL.
   virtual Status WalCheckpoint() { return Status::OK(); }
+
+  /// Pages modified since the last commit (0 without a WAL): the dirty set
+  /// the next WalCommit logs.
+  virtual size_t num_uncommitted() const { return 0; }
 
   /// Drops all dirty state without writing anything — the teardown of a
   /// simulated crash, where the dying process's buffered pages must NOT
@@ -202,9 +215,10 @@ class PageCache {
   virtual void ResetStats() = 0;
 
  protected:
-  /// The commit half of WalCommit: image every modified page and append
-  /// one commit record. Called only with a WAL attached.
-  virtual Status WalAppendCommit() { return Status::OK(); }
+  /// The commit half of WalCommit: image every uncommitted page, append one
+  /// commit record and mark the pages committed. Returns the commit
+  /// record's LSN. Called only with a WAL attached.
+  virtual Result<Lsn> WalAppendCommit() { return kNoLsn; }
 
  private:
   friend class PageGuard;
@@ -259,11 +273,12 @@ class BufferPool final : public PageCache {
   void AttachWal(WalWriter* wal) override { wal_ = wal; }
   WalWriter* attached_wal() const override { return wal_; }
   Status WalCheckpoint() override;
+  size_t num_uncommitted() const override { return uncommitted_.size(); }
   void DiscardAll() override;
 
-  /// Checked final flush. With a WAL attached this is a checkpoint (flush +
-  /// store sync + log truncation) so the log does not outlive the pool with
-  /// stale content.
+  /// Checked final flush. With a WAL attached this commits any uncommitted
+  /// pages and then checkpoints (flush + store sync + log truncation) so
+  /// the log does not outlive the pool with stale content.
   Status Close() override;
 
   bool Contains(PageId id) const override {
@@ -275,7 +290,7 @@ class BufferPool final : public PageCache {
   void ResetStats() override { stats_ = BufferStats{}; }
 
  protected:
-  Status WalAppendCommit() override;
+  Result<Lsn> WalAppendCommit() override;
 
  private:
   friend class PageGuard;
@@ -283,7 +298,7 @@ class BufferPool final : public PageCache {
 
   struct FrameMeta {
     PageId page_id = kInvalidPageId;
-    // LSN of the frame's latest logged WAL image (before- or after-image);
+    // LSN of the commit record that last logged this frame's image;
     // writeback must EnsureDurable up to here first. kNoLsn when the page
     // was never logged (WAL off, or content unchanged since the store).
     Lsn lsn = kNoLsn;
@@ -296,10 +311,11 @@ class BufferPool final : public PageCache {
     bool permanent = false;
     bool dirty = false;
     bool in_use = false;
-    // Modified since the last WAL image of this frame was logged (commit,
-    // steal or flush). Set at the first FetchMutable since then — which is
-    // also when the before-image is captured — and at NewPage.
-    bool wal_dirty = false;
+    // WAL attached only: modified since the last commit (set when a
+    // dirtying guard — FetchMutable, NewPage — releases it). Never an
+    // eviction victim, never written to the store, until the next commit
+    // logs its image.
+    bool uncommitted = false;
 
     void Reset() {
       page_id = kInvalidPageId;
@@ -308,7 +324,7 @@ class BufferPool final : public PageCache {
       permanent = false;
       dirty = false;
       in_use = false;
-      wal_dirty = false;
+      uncommitted = false;
     }
   };
 
@@ -321,8 +337,21 @@ class BufferPool final : public PageCache {
     bool pending = false;
   };
 
-  // Finds a frame for a new page: a free frame if any, otherwise evicts.
+  // Finds a frame for a new page: a free frame if any, otherwise evicts;
+  // when nothing is evictable but uncommitted pages hold frames, a spare.
   Result<FrameId> AcquireFrame();
+
+  // Spare frames have ids from capacity_ up; the replacement policy never
+  // tracks them.
+  bool IsSpare(FrameId f) const { return f >= capacity_; }
+
+  // A frame beyond capacity, with its own page buffer (reused once
+  // returned). Counted in stats_.spare_frames.
+  FrameId AcquireSpareFrame();
+
+  // Writes back and frees every unpinned spare frame. Run right after a
+  // commit, when every spare's page is committed.
+  Status ReturnSpareFrames();
 
   // Writes the dirty eviction victim back. When the store coalesces batch
   // writes, the victim is opportunistically clustered with dirty unpinned
@@ -371,20 +400,26 @@ class BufferPool final : public PageCache {
   // entries still pending are uninstalled, the rest unpinned.
   void UnwindPins(const std::vector<BatchEntry>& entries);
 
-  // WAL pre-step of any writeback: logs a fresh after-image for every
-  // wal-dirty frame of the set (clearing the flag — the image now reflects
-  // the content being written) and blocks until the latest image of every
-  // frame is durable. A no-op without an attached WAL. Used by
-  // WritebackVictim and FlushAll before their store writes.
+  // WAL pre-step of any writeback (every frame of the set is committed):
+  // blocks until the commit record covering each frame is durable. A no-op
+  // without an attached WAL. Used by WritebackVictim and FlushAll before
+  // their store writes.
   Status WalBeforeWriteback(const FrameId* frames, size_t n);
 
-  // Logs an after-image for every wal-dirty frame (clearing the flags)
-  // without forcing durability — the front half of a commit. Shared with
-  // ShardedBufferPool, whose WalAppendCommit runs this per shard and then
-  // writes one commit record for all of them.
-  void WalLogDirtyImages();
+  // Logs an after-image for every uncommitted frame without forcing
+  // durability — the front half of a commit. The frames stay uncommitted
+  // (unevictable) until WalMarkCommitted, so no other thread of a sharded
+  // pool can write one back before its commit record exists. Shared with
+  // ShardedBufferPool, whose WalAppendCommit runs this per shard, writes
+  // one commit record for all of them, then marks every shard committed.
+  void WalLogUncommitted();
+
+  // The back half of a commit whose record got LSN `commit`: the logged
+  // frames become committed and evictable, then spare frames are returned.
+  Status WalMarkCommitted(Lsn commit);
 
   uint8_t* FrameData(FrameId f) {
+    if (IsSpare(f)) return spare_data_[f - capacity_].get();
     return buffer_.data() + static_cast<size_t>(f) * page_size();
   }
 
@@ -396,6 +431,12 @@ class BufferPool final : public PageCache {
   std::vector<uint8_t> buffer_;
   std::vector<FrameMeta> frames_;
   std::vector<FrameId> free_frames_;
+  // Page buffers of the spare frames (frame capacity_ + i uses
+  // spare_data_[i]), and the returned ones ready for reuse.
+  std::vector<std::unique_ptr<uint8_t[]>> spare_data_;
+  std::vector<FrameId> free_spares_;
+  // Frames whose `uncommitted` flag is set, in the order they were dirtied.
+  std::vector<FrameId> uncommitted_;
   // Open-addressed page-id -> frame index, sized at construction so
   // steady-state fetches never allocate (see storage/page_table.h).
   PageTable page_table_;

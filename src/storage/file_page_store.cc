@@ -469,31 +469,23 @@ Result<std::unique_ptr<FilePageStore>> FilePageStore::OpenWithRecovery(
   }
   // Redo: committed after-images in LSN (= file) order. Images the store
   // already has are rewritten — idempotent and simpler than tracking page
-  // LSNs on disk.
+  // LSNs on disk. Images past the last commit need nothing: the pools never
+  // write an uncommitted page to the store (no-steal), so the store never
+  // saw them.
   const size_t stride = store->page_size();
+  std::vector<uint8_t> page(stride);
   for (size_t i = restart; i < records.size(); ++i) {
     const WalRecord& r = records[i];
     if (r.type != WalRecordType::kPageImage || r.lsn > last_commit) continue;
-    if (r.payload.size() != stride || r.page_id >= committed_pages) {
+    if (r.payload.size() > stride || r.page_id >= committed_pages) {
       return Status::Corruption(wal_path + ": malformed page image record");
     }
-    RTB_RETURN_IF_ERROR(store->Write(r.page_id, r.payload.data()));
+    // The log drops an image's trailing zero bytes; put them back.
+    std::copy(r.payload.begin(), r.payload.end(), page.begin());
+    std::fill(page.begin() + static_cast<ptrdiff_t>(r.payload.size()),
+              page.end(), uint8_t{0});
+    RTB_RETURN_IF_ERROR(store->Write(r.page_id, page.data()));
     ++rep.redo_pages;
-  }
-  // Undo: the uncommitted suffix's before-images in reverse order. A page
-  // dirtied, stolen and re-dirtied logs several before-images; reverse
-  // application makes the earliest (the committed content) land last.
-  for (size_t i = records.size(); i > restart; --i) {
-    const WalRecord& r = records[i - 1];
-    if (r.type != WalRecordType::kBeforeImage || r.lsn <= last_commit) {
-      continue;
-    }
-    if (r.payload.size() != stride) {
-      return Status::Corruption(wal_path + ": malformed before-image record");
-    }
-    if (r.page_id >= committed_pages) continue;  // Truncated away above.
-    RTB_RETURN_IF_ERROR(store->Write(r.page_id, r.payload.data()));
-    ++rep.undo_pages;
   }
   // The recovered state must be durable before the log that produced it is
   // discarded.

@@ -58,7 +58,6 @@ struct WalRecoveryReport {
   uint64_t records_scanned = 0;  // Valid records in the log.
   uint64_t torn_bytes = 0;       // Bytes discarded after the valid prefix.
   uint64_t redo_pages = 0;       // Committed after-images replayed.
-  uint64_t undo_pages = 0;       // Uncommitted before-images rolled back.
   Lsn last_commit_lsn = 0;       // kNoLsn when no commit survived.
 };
 
@@ -76,8 +75,8 @@ class FilePageStore final : public PageStore {
 
   /// Opens `path` and recovers it against the write-ahead log at
   /// `wal_path`: scans the log from its last checkpoint, discards the torn
-  /// tail (CRC), replays the committed suffix's after-images in LSN order,
-  /// rolls uncommitted changes back through their before-images in reverse,
+  /// tail (CRC), replays the committed suffix's after-images in LSN order
+  /// (the log is redo-only: the pools never write uncommitted pages),
   /// truncates the page count to the last committed count, fsyncs the data
   /// file (DurableSync seam) and finally truncates the log — so a repeated
   /// recovery is a no-op. A missing log file means nothing to recover

@@ -13,8 +13,9 @@
 //     ShardedBufferPool uses to stripe pages), so the contiguous page ids a
 //     bulk-loaded R-tree level produces do not cluster into long runs.
 //
-// The table never grows: the pool inserts at most one entry per frame and
-// the constructor sizes the array to keep the load factor at or below 1/2.
+// The pool inserts at most one entry per frame and the constructor sizes the
+// array to keep the load factor at or below 1/2; the table grows (Reserve)
+// only when a WAL-attached pool takes spare frames beyond its capacity.
 // Deletion uses backward-shift compaction, so no tombstones accumulate and
 // lookups stay O(probe run) forever. Not thread-safe; the owning BufferPool
 // serializes access (directly or behind its shard lock).
@@ -102,6 +103,21 @@ class PageTable {
     slots_[hole].key = kInvalidPageId;
     --size_;
     return true;
+  }
+
+  /// Grows the table, if needed, to hold `max_entries` mappings at a load
+  /// factor of at most 1/2, rehashing every entry. Never shrinks.
+  void Reserve(size_t max_entries) {
+    if (2 * max_entries <= slots_.size()) return;
+    std::vector<Slot> old = std::move(slots_);
+    size_t slots = old.size();
+    while (slots < 2 * max_entries) slots *= 2;
+    slots_.assign(slots, Slot{});
+    mask_ = slots - 1;
+    size_ = 0;
+    for (const Slot& slot : old) {
+      if (slot.key != kInvalidPageId) Insert(slot.key, slot.frame);
+    }
   }
 
   size_t size() const { return size_; }

@@ -178,16 +178,28 @@ void ShardedBufferPool::AttachWal(WalWriter* wal) {
   }
 }
 
-Status ShardedBufferPool::WalAppendCommit() {
-  // Image every shard's modified pages first, then one commit record
-  // covers the whole pool's batch.
+Result<Lsn> ShardedBufferPool::WalAppendCommit() {
+  // Image every shard's uncommitted pages first, then one commit record
+  // covers the whole pool's batch; only then may any shard evict them.
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->pool->WalLogDirtyImages();
+    shard->pool->WalLogUncommitted();
   }
-  RTB_ASSIGN_OR_RETURN(Lsn lsn, wal_->Commit(store_->num_pages()));
-  (void)lsn;
-  return Status::OK();
+  RTB_ASSIGN_OR_RETURN(const Lsn lsn, wal_->Commit(store_->num_pages()));
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    RTB_RETURN_IF_ERROR(shard->pool->WalMarkCommitted(lsn));
+  }
+  return lsn;
+}
+
+size_t ShardedBufferPool::num_uncommitted() const {
+  size_t total = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    total += shard->pool->num_uncommitted();
+  }
+  return total;
 }
 
 Status ShardedBufferPool::WalCheckpoint() {

@@ -95,11 +95,13 @@ class ShardedBufferPool final : public PageCache {
   Status FlushAll() override;
   Status EvictAll() override;
 
-  /// Like BufferPool::Close: a WAL-attached pool checkpoints on the way
-  /// out so the log does not outlive it with stale content.
+  /// Like BufferPool::Close: a WAL-attached pool commits what is pending
+  /// and checkpoints on the way out so the log does not outlive it with
+  /// stale content.
   Status Close() override {
-    if (wal_ != nullptr) return WalCheckpoint();
-    return FlushAll();
+    if (wal_ == nullptr) return FlushAll();
+    if (num_uncommitted() > 0) RTB_RETURN_IF_ERROR(WalAppendCommit().status());
+    return WalCheckpoint();
   }
 
   /// WAL surface: the writer is shared (it is internally synchronized);
@@ -109,6 +111,7 @@ class ShardedBufferPool final : public PageCache {
   void AttachWal(WalWriter* wal) override;
   WalWriter* attached_wal() const override { return wal_; }
   Status WalCheckpoint() override;
+  size_t num_uncommitted() const override;
   void DiscardAll() override;
 
   bool Contains(PageId id) const override;
@@ -121,7 +124,7 @@ class ShardedBufferPool final : public PageCache {
   std::vector<BufferStats> ShardStats() const;
 
  protected:
-  Status WalAppendCommit() override;
+  Result<Lsn> WalAppendCommit() override;
 
  private:
   struct Shard {

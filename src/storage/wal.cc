@@ -1,7 +1,6 @@
 #include "storage/wal.h"
 
 #include <fcntl.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -34,9 +33,6 @@ constexpr size_t kWalFrameHeaderSize = sizeof(WalDiskHeader);
 // Sanity bound while scanning: no record's payload exceeds this (pages are
 // a few KiB). Anything larger is torn garbage.
 constexpr uint32_t kMaxWalPayload = 1u << 24;
-// iovec count per writev call; groups larger than this chunk (far below
-// IOV_MAX everywhere).
-constexpr size_t kMaxWalIov = 512;
 
 // The file header: identifies a log and its format before any frame is
 // trusted.
@@ -180,34 +176,41 @@ WalWriter::~WalWriter() {
 Lsn WalWriter::AppendLocked(WalRecordType type, PageId page_id,
                             const uint8_t* payload, size_t len) {
   const Lsn lsn = next_lsn_++;
-  std::vector<uint8_t> rec(kWalFrameHeaderSize + len);
   WalDiskHeader header;
   header.crc = 0;
   header.payload_len = static_cast<uint32_t>(len);
   header.lsn = lsn;
   header.type = static_cast<uint32_t>(type);
   header.page_id = page_id;
-  std::memcpy(rec.data(), &header, kWalFrameHeaderSize);
-  if (len > 0) std::memcpy(rec.data() + kWalFrameHeaderSize, payload, len);
+  const size_t begin = pending_.size();
+  const auto* head = reinterpret_cast<const uint8_t*>(&header);
+  pending_.insert(pending_.end(), head, head + kWalFrameHeaderSize);
+  pending_.insert(pending_.end(), payload, payload + len);
+  uint8_t* frame = pending_.data() + begin;
+  const size_t frame_len = kWalFrameHeaderSize + len;
   const uint32_t crc =
-      Crc32c(0, rec.data() + sizeof(uint32_t), rec.size() - sizeof(uint32_t));
-  std::memcpy(rec.data(), &crc, sizeof(crc));
+      Crc32c(0, frame + sizeof(uint32_t), frame_len - sizeof(uint32_t));
+  std::memcpy(frame, &crc, sizeof(crc));
   buffered_lsn_ = lsn;
   ++stats_.records;
-  stats_.bytes += rec.size();
-  log_bytes_ += rec.size();
-  pending_.push_back(std::move(rec));
+  stats_.bytes += frame_len;
+  log_bytes_ += frame_len;
   return lsn;
 }
 
 Lsn WalWriter::AppendPageImage(PageId id, const uint8_t* data, size_t len) {
+  // Node pages are zero past their last entry; recovery zero-fills a short
+  // image, so the zero tail need not be logged. Word-wise first, then the
+  // last few bytes.
+  uint64_t word;
+  while (len >= sizeof(word)) {
+    std::memcpy(&word, data + len - sizeof(word), sizeof(word));
+    if (word != 0) break;
+    len -= sizeof(word);
+  }
+  while (len > 0 && data[len - 1] == 0) --len;
   std::lock_guard<std::mutex> lock(mu_);
   return AppendLocked(WalRecordType::kPageImage, id, data, len);
-}
-
-Lsn WalWriter::AppendBeforeImage(PageId id, const uint8_t* data, size_t len) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return AppendLocked(WalRecordType::kBeforeImage, id, data, len);
 }
 
 Result<Lsn> WalWriter::Commit(uint64_t num_pages) {
@@ -252,12 +255,12 @@ Status WalWriter::EnsureDurable(Lsn lsn) {
 Status WalWriter::DrainLocked(std::unique_lock<std::mutex>& lk) {
   if (pending_.empty()) return Status::OK();
   sync_in_progress_ = true;
-  std::vector<std::vector<uint8_t>> batch = std::move(pending_);
-  pending_.clear();
+  draining_.swap(pending_);  // pending_ takes the empty, reused buffer.
   const Lsn target = buffered_lsn_;
   lk.unlock();
-  Status s = WriteAndSync(batch);
+  Status s = WriteAndSync();
   lk.lock();
+  draining_.clear();
   sync_in_progress_ = false;
   if (s.ok()) {
     ++stats_.fsyncs;
@@ -271,47 +274,23 @@ Status WalWriter::DrainLocked(std::unique_lock<std::mutex>& lk) {
   return s;
 }
 
-Status WalWriter::WriteAndSync(
-    const std::vector<std::vector<uint8_t>>& batch) {
-  size_t total = 0;
-  for (const auto& rec : batch) total += rec.size();
+Status WalWriter::WriteAndSync() {
+  const size_t total = draining_.size();
   size_t allowed = total;
   if (options_.fault_hook != nullptr) {
     allowed = std::min(options_.fault_hook->BeforeWrite(total), total);
   }
-  // Gather the allowed prefix into iovecs; one pwritev in the common case,
-  // chunked and partial-write-safe in general.
-  std::vector<struct iovec> iov;
-  iov.reserve(batch.size());
-  size_t budget = allowed;
-  for (const auto& rec : batch) {
-    if (budget == 0) break;
-    const size_t len = std::min(budget, rec.size());
-    iov.push_back({const_cast<uint8_t*>(rec.data()), len});
-    budget -= len;
-  }
-  off_t off = static_cast<off_t>(file_size_);
-  size_t idx = 0;
-  while (idx < iov.size()) {
-    const int cnt = static_cast<int>(
-        std::min(iov.size() - idx, kMaxWalIov));
-    const ssize_t put = ::pwritev(fd_, iov.data() + idx, cnt, off);
+  // One pwrite of the allowed prefix, looped over partial writes.
+  size_t done = 0;
+  while (done < allowed) {
+    const ssize_t put =
+        ::pwrite(fd_, draining_.data() + done, allowed - done,
+                 static_cast<off_t>(file_size_ + done));
     if (put < 0) {
       if (errno == EINTR) continue;
       return Status::IoError(path_ + ": wal write failed");
     }
-    off += put;
-    size_t adv = static_cast<size_t>(put);
-    while (adv > 0 && idx < iov.size()) {
-      if (adv >= iov[idx].iov_len) {
-        adv -= iov[idx].iov_len;
-        ++idx;
-      } else {
-        iov[idx].iov_base = static_cast<uint8_t*>(iov[idx].iov_base) + adv;
-        iov[idx].iov_len -= adv;
-        adv = 0;
-      }
-    }
+    done += static_cast<size_t>(put);
   }
   file_size_ += allowed;
   if (allowed < total) {

@@ -2,10 +2,10 @@
 //
 // WalWriter appends length+CRC-32C-framed records to a log file and makes
 // them durable in groups: records accumulate in memory, and a *sync point*
-// drains everything buffered with one writev + one fdatasync. Commit
+// drains everything buffered with one pwrite + one fdatasync. Commit
 // records trigger a sync point every `group_commit_window` commits, and
 // EnsureDurable() lets the buffer pools force one before writing a page
-// whose latest logged image is not yet durable (the WAL-before-data rule).
+// whose commit record is not yet durable (the WAL-before-data rule).
 // Concurrent committers coalesce: the first caller to need durability
 // becomes the leader and drains the whole buffer; waiters observe their LSN
 // covered and return without issuing I/O of their own.
@@ -15,23 +15,36 @@
 // sync point is genuinely absent from the file, so the crash-simulation
 // tests get real torn-tail behavior without a kernel crash.
 //
-// The file starts with a 16-byte header (magic + format version). Version 2
-// frames records with CRC-32C; the header-less version-1 logs used the
-// IEEE CRC-32, so every one of their frames would fail the new check and
-// look like a torn tail at byte 0. The reader refuses them with
-// NotSupported instead, and recovery leaves such a log and its store alone.
+// The file starts with a 16-byte header (magic + format version). Version 3
+// is the redo-only log described below. Version 2 had the same framing but
+// could hold before-images that recovery had to undo, and the header-less
+// version-1 logs used the IEEE CRC-32, so every one of their frames would
+// fail the new check and look like a torn tail at byte 0. The reader
+// refuses both with NotSupported, and recovery leaves such a log and its
+// store alone for the binary that wrote it.
 //
-// The record set is physiological: full-page after-images (kPageImage) are
-// the redo log, full-page before-images (kBeforeImage, captured at the
-// first modification of a page since the last commit) are the undo log,
-// and kCommit marks batch atomicity boundaries. Recovery (FilePageStore::
-// OpenWithRecovery) replays committed after-images in LSN order, rolls the
-// uncommitted suffix back through its before-images in reverse, and
-// discards the torn tail by CRC. kCheckpoint records let the log truncate:
-// the writer restarts the file at a checkpoint because the caller has
-// already flushed and fsynced every logged page into the data file. The
-// pools checkpoint at a commit boundary whenever the log has grown past
-// Options::checkpoint_bytes, so a long-lived writer's log stays bounded.
+// The log is redo-only. The pools run no-steal within a commit: a page
+// modified since the last commit stays in its frame (it is never an
+// eviction victim) until the next commit logs it, so no uncommitted byte
+// ever reaches the data file and the log needs no before-images. The
+// record set is physiological: kPageImage records are full-page
+// after-images, stored without their trailing zero bytes (a node page is
+// zero past its last entry), and kCommit marks a commit boundary carrying
+// the store's page count. Recovery (FilePageStore::OpenWithRecovery)
+// replays the after-images covered by the last durable commit in LSN
+// order, zero-filling each short image back to a full page, truncates the
+// store to the committed page count and discards the torn tail by CRC;
+// images after the last commit are simply ignored. kCheckpoint records let
+// the log truncate: the writer restarts the file at a checkpoint because
+// the caller has already flushed and fsynced every logged page into the
+// data file. The pools checkpoint at a commit boundary whenever the log
+// has grown past Options::checkpoint_bytes, so a long-lived writer's log
+// stays bounded.
+//
+// Records are framed straight into one contiguous group buffer that is
+// reused across sync points: a sync point swaps it with the (empty)
+// buffer the previous sync point wrote, writes it with one pwrite and
+// fdatasyncs, so steady-state appends allocate nothing.
 //
 // The spec's storage.wal.enabled is the only switch. It is off by default,
 // and with it off no WAL object exists — counters and I/O are
@@ -55,8 +68,9 @@
 namespace rtb::storage {
 
 /// Format version written into the file header. Version 1 had no header
-/// and framed records with the IEEE CRC-32.
-constexpr uint32_t kWalFormatVersion = 2;
+/// and framed records with the IEEE CRC-32; version 2 could hold undo
+/// (before-image) records.
+constexpr uint32_t kWalFormatVersion = 3;
 /// Bytes of the file header (8-byte magic, 4-byte version, 4 reserved).
 constexpr size_t kWalFileHeaderSize = 16;
 /// Default log size past which the pools checkpoint at the next commit
@@ -73,10 +87,9 @@ uint32_t Crc32cPortable(uint32_t crc, const uint8_t* data, size_t len);
 bool Crc32cHardware();
 
 enum class WalRecordType : uint32_t {
-  kPageImage = 1,    // Redo: full page after-image.
-  kBeforeImage = 2,  // Undo: full page image before its first dirtying.
-  kCommit = 4,       // Batch atomicity boundary; payload = page count.
-  kCheckpoint = 5,   // Log restart point; payload = page count.
+  kPageImage = 1,   // Redo: page after-image minus trailing zero bytes.
+  kCommit = 4,      // Commit boundary; payload = page count.
+  kCheckpoint = 5,  // Log restart point; payload = page count.
 };
 
 /// One decoded log record (WalReader::Next).
@@ -85,7 +98,7 @@ struct WalRecord {
   Lsn lsn = kNoLsn;
   PageId page_id = kInvalidPageId;  // Image records only.
   uint64_t num_pages = 0;           // Commit/checkpoint records only.
-  std::vector<uint8_t> payload;     // Page bytes or page count.
+  std::vector<uint8_t> payload;     // Page prefix or page count.
 };
 
 /// Cumulative WalWriter counters. `fsyncs` counts durability points (one
@@ -128,7 +141,7 @@ class WalWriter {
     /// Commit records per sync point. 1 = force at every commit (classic
     /// commit-per-batch durability); N > 1 defers: a commit returns after
     /// buffering its record, and every Nth commit drains the group with one
-    /// writev + one fdatasync. Deferred commits are durable no later than
+    /// pwrite + one fdatasync. Deferred commits are durable no later than
     /// the next sync point, eviction-forced EnsureDurable, or Close.
     uint64_t group_commit_window = 1;
     /// Log size (header included, buffered records counted) at which
@@ -152,10 +165,10 @@ class WalWriter {
 
   ~WalWriter();
 
-  /// Buffer a full-page after-image / before-image. Returns the record's
-  /// LSN; the append itself cannot fail (I/O happens at sync points).
+  /// Buffer a full-page after-image; trailing zero bytes of `data` are
+  /// not logged. Returns the record's LSN; the append itself cannot fail
+  /// (I/O happens at sync points).
   Lsn AppendPageImage(PageId id, const uint8_t* data, size_t len);
-  Lsn AppendBeforeImage(PageId id, const uint8_t* data, size_t len);
 
   /// Buffer a commit record carrying the store's page count at commit, and
   /// drain the group when this is the window's Nth commit. Returns the
@@ -163,7 +176,7 @@ class WalWriter {
   Result<Lsn> Commit(uint64_t num_pages);
 
   /// Blocks until every record with LSN <= `lsn` is durable, draining the
-  /// buffer (one writev + one fdatasync) if needed. kNoLsn is a no-op.
+  /// buffer (one pwrite + one fdatasync) if needed. kNoLsn is a no-op.
   Status EnsureDurable(Lsn lsn);
 
   /// True when record `lsn` is already durable (no I/O).
@@ -207,26 +220,32 @@ class WalWriter {
   WalWriter(std::string path, int fd, Options options)
       : path_(std::move(path)), fd_(fd), options_(options) {}
 
-  // Serializes one record into pending_; returns its LSN. Requires mu_.
+  // Frames one record at the end of pending_; returns its LSN. Requires
+  // mu_.
   Lsn AppendLocked(WalRecordType type, PageId page_id, const uint8_t* payload,
                    size_t len);
 
-  // Leader body of a sync point: takes the whole buffer, writes + syncs it
-  // outside the lock, publishes durable_lsn_ (or the sticky error) and
-  // wakes waiters. Requires mu_ held via `lk` and !sync_in_progress_.
+  // Leader body of a sync point: swaps pending_ with the empty draining_
+  // buffer, writes + syncs draining_ outside the lock, publishes
+  // durable_lsn_ (or the sticky error) and wakes waiters. Requires mu_ held
+  // via `lk` and !sync_in_progress_.
   Status DrainLocked(std::unique_lock<std::mutex>& lk);
 
-  // One writev (chunked past IOV_MAX) + one fdatasync for the drained
-  // group, applying the fault hook. Runs outside mu_; only the single
-  // in-progress drainer touches file_size_.
-  Status WriteAndSync(const std::vector<std::vector<uint8_t>>& batch);
+  // One pwrite (looped over partial writes) + one fdatasync for the
+  // drained group, applying the fault hook. Runs outside mu_; only the
+  // single in-progress drainer touches draining_ and file_size_.
+  Status WriteAndSync();
 
   std::string path_;
   int fd_ = -1;
   Options options_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<std::vector<uint8_t>> pending_;  // Serialized, not yet on disk.
+  // Framed records not yet handed to a sync point, back to back. Reused:
+  // its capacity survives the swap with draining_.
+  std::vector<uint8_t> pending_;
+  // The group the in-progress sync point is writing; empty otherwise.
+  std::vector<uint8_t> draining_;
   Lsn next_lsn_ = 1;
   Lsn buffered_lsn_ = kNoLsn;  // Last appended.
   std::atomic<Lsn> durable_lsn_{kNoLsn};

@@ -533,7 +533,6 @@ TEST(ServerTest, GracefulShutdownLeavesCleanWal) {
   EXPECT_FALSE(report.tail_torn);
   EXPECT_EQ(report.records_scanned, 1u) << "checkpoint-only log expected";
   EXPECT_EQ(report.redo_pages, 0u);
-  EXPECT_EQ(report.undo_pages, 0u);
 
   const auto validation = rtree::ValidateTree(
       store->get(), root, rtree::RTreeConfig::WithFanout(spec.tree.fanout),

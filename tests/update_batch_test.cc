@@ -14,12 +14,19 @@
 //   * structure torture — one huge insert batch into an empty tree (multi
 //     -level root growth), batches that dissolve every node (empty-root
 //     recovery), and interleaved grow/shrink cycles;
+//   * slices — with a WAL attached the executor commits a batch in slices
+//     sized to the pool; the sliced batch equals the serial oracle, and the
+//     per-op delete_found flags stay right across slice boundaries;
 //   * write faults — an injected write fault during a batch leaves the
 //     store decodable and the failed pages dirty, so a retried flush
 //     completes the batch.
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +35,7 @@
 #include "rtree/update_batch.h"
 #include "rtree/validate.h"
 #include "storage/fault_injection.h"
+#include "storage/wal.h"
 
 namespace rtb::rtree {
 namespace {
@@ -305,6 +313,96 @@ TEST(UpdateBatchTest, BatchedMatchesSerialLogically) {
       ASSERT_EQ(sb, sa);
     }
   }
+}
+
+// A WAL-attached (no-steal) pool makes the executor commit a batch in
+// slices sized to the pool. The sliced batch must equal the serial
+// oracle, and delete_found must be right for ops in every slice.
+TEST(UpdateBatchTest, SlicedBatchMatchesSerialOracleAndFlagsDeletes) {
+  const bool was_durable = storage::DurableSyncActive();
+  storage::SetDurableSync(false);
+  const RTreeConfig config = RTreeConfig::WithFanout(8);
+  TreeFixture serial_fx;
+  TreeFixture sliced_fx(/*pool_pages=*/24);
+  auto serial_tree = RTree::Create(serial_fx.pool.get(), config);
+  auto sliced_tree = RTree::Create(sliced_fx.pool.get(), config);
+  ASSERT_TRUE(serial_tree.ok());
+  ASSERT_TRUE(sliced_tree.ok());
+
+  // Preload without a WAL: one batch, one slice.
+  Rng rng(2024);
+  std::vector<UpdateOp> preload;
+  for (ObjectId id = 0; id < 300; ++id) {
+    preload.push_back(UpdateOp::Insert(RandomRect(rng, 0.05), id));
+  }
+  UpdateBatchExecutor exec(&*sliced_tree);
+  ASSERT_TRUE(exec.Run(preload).ok());
+  EXPECT_EQ(exec.commits().size(), 1u);
+  EXPECT_EQ(exec.commits()[0].lsn, storage::kNoLsn);
+  for (const UpdateOp& op : preload) {
+    ASSERT_TRUE(serial_tree->Insert(op.rect, op.id).ok());
+  }
+
+  const std::string wal_path = ::testing::TempDir() + "/rtb_slices_" +
+                               std::to_string(::getpid()) + ".wal";
+  auto wal = storage::WalWriter::Create(wal_path, {/*window=*/8});
+  ASSERT_TRUE(wal.ok());
+  sliced_fx.pool->AttachWal(wal->get());
+  ASSERT_TRUE(sliced_fx.pool->WalCheckpoint().ok());
+
+  // Deletes of preloaded entries (some twice: the second copy misses),
+  // deletes of ids never inserted, and fresh inserts, interleaved.
+  std::vector<UpdateOp> ops;
+  for (int k = 0; k < 150; ++k) {
+    const double u = rng.NextDouble();
+    if (u < 0.4) {
+      const UpdateOp& victim = preload[rng.UniformInt(preload.size())];
+      ops.push_back(UpdateOp::Delete(victim.rect, victim.id));
+    } else if (u < 0.5) {
+      ops.push_back(UpdateOp::Delete(RandomRect(rng, 0.05), 100000 + k));
+    } else {
+      ops.push_back(UpdateOp::Insert(RandomRect(rng, 0.05), 1000 + k));
+    }
+  }
+  std::vector<uint8_t> found;
+  UpdateBatchStats stats;
+  ASSERT_TRUE(exec.Run(ops, &stats, &found).ok());
+  const std::vector<UpdateCommit>& commits = exec.commits();
+  ASSERT_GT(commits.size(), 2u);
+  for (size_t c = 1; c < commits.size(); ++c) {
+    EXPECT_GT(commits[c].ops, commits[c - 1].ops);
+    EXPECT_GT(commits[c].lsn, commits[c - 1].lsn);
+  }
+  EXPECT_EQ(commits.back().ops, ops.size());
+  EXPECT_EQ(commits.back().root, sliced_tree->root());
+  EXPECT_EQ(commits.back().height, sliced_tree->height());
+  EXPECT_EQ(sliced_fx.pool->num_uncommitted(), 0u);
+
+  ASSERT_EQ(found.size(), ops.size());
+  uint64_t hits = 0;
+  size_t hits_after_first_slice = 0;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    uint8_t expect = 0;
+    if (ops[i].kind == UpdateOp::Kind::kDelete) {
+      auto deleted = serial_tree->Delete(ops[i].rect, ops[i].id);
+      ASSERT_TRUE(deleted.ok());
+      expect = *deleted ? 1 : 0;
+    } else {
+      ASSERT_TRUE(serial_tree->Insert(ops[i].rect, ops[i].id).ok());
+    }
+    EXPECT_EQ(found[i], expect) << "op " << i;
+    hits += expect;
+    if (expect != 0 && i >= commits.front().ops) ++hits_after_first_slice;
+  }
+  EXPECT_EQ(stats.deletes_found, hits);
+  EXPECT_GT(hits_after_first_slice, 0u);
+  EXPECT_GT(stats.deletes_missing, 0u);
+  ASSERT_EQ(LeafEntries(*sliced_tree), LeafEntries(*serial_tree));
+
+  sliced_fx.pool->AttachWal(nullptr);
+  ASSERT_TRUE((*wal)->Close().ok());
+  std::remove(wal_path.c_str());
+  storage::SetDurableSync(was_durable);
 }
 
 // One huge batch into an empty tree: the root leaf absorbs everything,

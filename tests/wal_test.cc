@@ -3,7 +3,8 @@
 //   * CRC-32C — the known answer, and the SSE4.2 path equal to the
 //     portable slicing-by-8 path at every length and alignment tried;
 //   * round trip — every record type survives write + read with its LSN,
-//     page id, payload and page-count field intact;
+//     page id, payload and page-count field intact, and a page image's
+//     zero tail is not logged;
 //   * durability buffering — records buffered under a deferred window are
 //     genuinely absent from the file until a sync point (the property the
 //     crash tests rely on), and EnsureDurable drains them;
@@ -12,8 +13,9 @@
 //   * corruption — a flipped bit or a truncated tail stops the reader at
 //     the last whole record with torn_tail() set, never a bad decode;
 //   * file header — a file shorter than the header reads as an empty log;
-//     a header-less version-1 log or a foreign version is NotSupported, and
-//     recovery then leaves the log and the store byte-identical;
+//     a header-less version-1 log, a version-2 log (it may hold
+//     before-images that need undo) or a foreign version is NotSupported,
+//     and recovery then leaves the log and the store byte-identical;
 //   * checkpoint — restarts the file with its header and a single
 //     checkpoint record; a pool commit checkpoints online once the log
 //     passes its bound, which keeps the file bounded;
@@ -25,6 +27,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -144,10 +147,12 @@ TEST_F(WalTest, RoundTripsEveryRecordType) {
   auto writer = WalWriter::Create(path);  // Window 1.
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
   const std::vector<uint8_t> after = Bytes(64, 10);
-  const std::vector<uint8_t> before = Bytes(64, 90);
+  // A node page is zero past its last entry; that tail is not logged.
+  std::vector<uint8_t> zero_tail = Bytes(40, 90);
+  zero_tail.resize(64, 0);
   EXPECT_EQ((*writer)->AppendPageImage(3, after.data(), after.size()), 1u);
-  EXPECT_EQ((*writer)->AppendBeforeImage(4, before.data(), before.size()),
-            2u);
+  EXPECT_EQ(
+      (*writer)->AppendPageImage(4, zero_tail.data(), zero_tail.size()), 2u);
   auto commit = (*writer)->Commit(/*num_pages=*/17);
   ASSERT_TRUE(commit.ok());
   EXPECT_EQ(*commit, 3u);
@@ -162,9 +167,9 @@ TEST_F(WalTest, RoundTripsEveryRecordType) {
   EXPECT_EQ(records[0].lsn, 1u);
   EXPECT_EQ(records[0].page_id, 3u);
   EXPECT_EQ(records[0].payload, after);
-  EXPECT_EQ(records[1].type, WalRecordType::kBeforeImage);
+  EXPECT_EQ(records[1].type, WalRecordType::kPageImage);
   EXPECT_EQ(records[1].page_id, 4u);
-  EXPECT_EQ(records[1].payload, before);
+  EXPECT_EQ(records[1].payload, Bytes(40, 90));
   EXPECT_EQ(records[2].type, WalRecordType::kCommit);
   EXPECT_EQ(records[2].lsn, 3u);
   EXPECT_EQ(records[2].num_pages, 17u);
@@ -384,6 +389,62 @@ TEST_F(WalTest, RecoveryRefusesAVersion1LogAndTouchesNothing) {
   EXPECT_EQ(FileBytes(path), store_before);
 }
 
+// One version-2 frame: the version-3 framing (CRC-32C), but type 2 was
+// the before-image record that recovery had to undo.
+void AppendV2Frame(std::vector<uint8_t>* log, uint64_t lsn, uint32_t type,
+                   uint32_t page_id, const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> frame(24 + payload.size());
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  std::memcpy(frame.data() + 4, &len, 4);
+  std::memcpy(frame.data() + 8, &lsn, 8);
+  std::memcpy(frame.data() + 16, &type, 4);
+  std::memcpy(frame.data() + 20, &page_id, 4);
+  std::copy(payload.begin(), payload.end(), frame.begin() + 24);
+  const uint32_t crc = Crc32c(0, frame.data() + 4, frame.size() - 4);
+  std::memcpy(frame.data(), &crc, 4);
+  log->insert(log->end(), frame.begin(), frame.end());
+}
+
+TEST_F(WalTest, RecoveryRefusesAVersion2LogAndTouchesNothing) {
+  constexpr size_t kPage = 512;
+  const std::string path = Path("v2_store");
+  const std::string wal_path = path + ".wal";
+  const std::vector<uint8_t> committed = Bytes(kPage, 3);
+  {
+    // The store holds a page a version-2 pool stole mid-batch.
+    auto store = FilePageStore::Create(path, kPage);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Allocate().ok());
+    const std::vector<uint8_t> stolen = Bytes(kPage, 140);
+    ASSERT_TRUE((*store)->Write(0, stolen.data()).ok());
+    ASSERT_TRUE((*store)->Close().ok());
+  }
+  // Its log: the uncommitted before-image that a version-2 recovery would
+  // roll the page back with. Read as redo-only, the page would keep the
+  // uncommitted bytes.
+  std::vector<uint8_t> log(kWalFileHeaderSize, 0);
+  const char magic[8] = {'R', 'T', 'B', 'W', 'A', 'L', '\r', '\n'};
+  std::memcpy(log.data(), magic, sizeof(magic));
+  const uint32_t version = 2;
+  std::memcpy(log.data() + 8, &version, sizeof(version));
+  const std::vector<uint8_t> one_page = {1, 0, 0, 0, 0, 0, 0, 0};
+  AppendV2Frame(&log, 1, /*kCheckpoint=*/5, kInvalidPageId, one_page);
+  AppendV2Frame(&log, 2, /*kBeforeImage=*/2, 0, committed);
+  AppendV2Frame(&log, 3, /*kPageImage=*/1, 0, Bytes(kPage, 140));
+  WriteFile(wal_path, log);
+  const std::vector<uint8_t> store_before = FileBytes(path);
+
+  auto reader = WalReader::Open(wal_path);
+  EXPECT_EQ(reader.status().code(), StatusCode::kNotSupported);
+  WalRecoveryReport report;
+  auto recovered = FilePageStore::OpenWithRecovery(path, wal_path, &report);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kNotSupported)
+      << recovered.status().ToString();
+  EXPECT_EQ(FileBytes(wal_path), log);
+  EXPECT_EQ(FileBytes(path), store_before);
+}
+
 TEST_F(WalTest, CheckpointRestartsTheLog) {
   const std::string path = Path("checkpoint");
   auto writer = WalWriter::Create(path);
@@ -444,8 +505,8 @@ TEST_F(WalTest, PoolCommitsCheckpointOnlineAndBoundTheLog) {
   pool->AttachWal(wal->get());
   ASSERT_TRUE(pool->WalCheckpoint().ok());
 
-  // Each commit dirties two pages: ~2 KiB of before- and after-images, so
-  // the 8 KiB bound is crossed every few commits.
+  // Each commit dirties two pages: ~1 KiB of after-images, so the 8 KiB
+  // bound is crossed every eight commits or so.
   for (int i = 0; i < 4; ++i) {
     auto page = pool->NewPage();
     ASSERT_TRUE(page.ok());
@@ -455,7 +516,9 @@ TEST_F(WalTest, PoolCommitsCheckpointOnlineAndBoundTheLog) {
     for (PageId id : {static_cast<PageId>(c % 4), PageId{3}}) {
       auto page = pool->FetchMutable(id);
       ASSERT_TRUE(page.ok());
-      page->mutable_data()[0] = static_cast<uint8_t>(c);
+      uint8_t* data = page->mutable_data();
+      data[0] = static_cast<uint8_t>(c);
+      std::memset(data + 1, 0xA5, kPage - 1);  // No zero tail to trim.
     }
     ASSERT_TRUE(pool->WalCommit().ok());
     EXPECT_FALSE((*wal)->CheckpointDue());  // Due means done by now.
