@@ -14,12 +14,14 @@
 //                 pool requests, so the effective hit rate climbs with
 //                 load instead of being fixed by the pool size.
 //
-// Reported per config: wall-clock QPS, effective batch size, pool hit
-// rate, and node accesses per query. The acceptance criterion (asserted):
-// under a deep pipeline the coalesced server reaches at least 1.5x the
-// QPS of batch_1 on the identical workload — buffering the *requests*
-// buys back what the tiny page buffer cannot.
+// Each variant runs three times, alternated with the other, and reports
+// its median-QPS run: wall-clock QPS, effective batch size, pool hit rate,
+// and node accesses per query. The acceptance criterion (asserted on those
+// medians): under a deep pipeline the coalesced server reaches at least
+// 1.5x the QPS of batch_1 on the identical workload — buffering the
+// *requests* buys back what the tiny page buffer cannot.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -233,14 +235,30 @@ int Run(int argc, char** argv) {
                   Table::Num(m.node_accesses_per_query, 1)});
   };
 
-  const Measurement batch1 = RunVariant(
-      spec, /*max_batch=*/1, /*max_wait_us=*/0, conns, per_conn, threads,
-      queries);
+  // One 4,096-query run lasts tens of milliseconds, so a single slowed run
+  // on a shared host can halve its QPS; the median of three cannot be moved
+  // by one such run.
+  constexpr int kRuns = 3;
+  std::vector<Measurement> batch1_runs;
+  std::vector<Measurement> coalesced_runs;
+  for (int r = 0; r < kRuns; ++r) {
+    batch1_runs.push_back(RunVariant(spec, /*max_batch=*/1,
+                                     /*max_wait_us=*/0, conns, per_conn,
+                                     threads, queries));
+    coalesced_runs.push_back(RunVariant(
+        spec, static_cast<uint32_t>(flags.GetInt("max_batch")),
+        flags.GetInt("max_wait_us"), conns, per_conn, threads, queries));
+  }
+  auto median_run = [](std::vector<Measurement> runs) {
+    std::sort(runs.begin(), runs.end(),
+              [](const Measurement& a, const Measurement& b) {
+                return a.qps < b.qps;
+              });
+    return runs[runs.size() / 2];
+  };
+  const Measurement batch1 = median_run(std::move(batch1_runs));
   add("batch_1", batch1);
-
-  const Measurement coalesced = RunVariant(
-      spec, static_cast<uint32_t>(flags.GetInt("max_batch")),
-      flags.GetInt("max_wait_us"), conns, per_conn, threads, queries);
+  const Measurement coalesced = median_run(std::move(coalesced_runs));
   add("coalesced", coalesced);
 
   table.Print();
@@ -253,8 +271,8 @@ int Run(int argc, char** argv) {
   RTB_CHECK(coalesced.effective_batch > 1.0);
   RTB_CHECK(coalesced.pool_misses <= batch1.pool_misses);
   RTB_CHECK(coalesced.effective_hit_rate >= batch1.effective_hit_rate);
-  // The PR's acceptance bar: coalescing buys at least 1.5x throughput on a
-  // deep pipeline over a cold, undersized pool.
+  // The acceptance bar: coalescing buys at least 1.5x throughput on a deep
+  // pipeline over a cold, undersized pool.
   RTB_CHECK(coalesced.qps >= 1.5 * batch1.qps);
 
   if (!report.WriteFile(flags.GetString("json"))) return 1;

@@ -48,9 +48,9 @@ Status UpdateBatchExecutor::Run(std::span<const UpdateOp> ops,
     if (!sliced) return ops.size();
     // Before anything is measured, every op is taken to dirty its whole
     // root-to-leaf path plus a split sibling. After that, the larger of the
-    // last two slices' rates: one delete whose rectangle many leaf MBRs
-    // contain dirties every one of those leaves, so the rate is
-    // heavy-tailed.
+    // last two slices' rates: a slice's rate jumps when its inserts split
+    // leaves (the parents and new siblings are dirtied too), and the last
+    // slice's rate alone took spare frames on write_mixed (EXPERIMENTS.md).
     const double rate = rate_ > 0 ? std::max(rate_, prev_rate_)
                                   : static_cast<double>(tree_->height_ + 1);
     return std::max<size_t>(1, static_cast<size_t>(budget / rate));
@@ -286,8 +286,9 @@ Status UpdateBatchExecutor::RouteItems(const PageGuard& guard, size_t begin,
   for (size_t k = begin; k < end; ++k) {
     const uint32_t q = ItemOp(frontier_[k]);
     const PendingOp& op = pending_[q];
-    auto route = [&](PageId child) {
-      parent_of_.emplace(child, page);
+    auto route = [&](const Entry& slot) {
+      const PageId child = static_cast<PageId>(slot.id);
+      parent_of_.emplace(child, ParentSlot{page, slot.rect});
       level_of_.emplace(child, child_level);
       (child_level == op.target_level ? arrived_ : next_)
           .push_back(PackItem(child, q));
@@ -296,13 +297,10 @@ Status UpdateBatchExecutor::RouteItems(const PageGuard& guard, size_t begin,
       // Guttman's delete descent: every child whose MBR contains the
       // target rectangle may hold the entry.
       for (const Entry& e : node.entries) {
-        if (e.rect.Contains(op.entry.rect)) {
-          route(static_cast<PageId>(e.id));
-        }
+        if (e.rect.Contains(op.entry.rect)) route(e);
       }
     } else {
-      route(static_cast<PageId>(
-          node.entries[tree_->ChooseSubtree(node, op.entry.rect)].id));
+      route(node.entries[tree_->ChooseSubtree(node, op.entry.rect)]);
     }
   }
   return Status::OK();
@@ -313,10 +311,12 @@ Status UpdateBatchExecutor::ProcessNode(PageId page, const uint64_t* items,
                                         UpdateBatchStats* stats) {
   storage::PageCache* pool = tree_->pool_;
   const size_t page_size = pool->page_size();
-  RTB_ASSIGN_OR_RETURN(PageGuard guard, pool->FetchMutable(page));
+  // A read pin: the page is dirtied (and so logged, committed and written
+  // back) only through mutable_data(), once something below changed it.
+  RTB_ASSIGN_OR_RETURN(PageGuard guard, pool->Fetch(page));
   RTB_ASSIGN_OR_RETURN(Node node, DeserializeNode(guard.data(), page_size));
-  ++stats->pages_mutated;
   ++stats->node_accesses;
+  bool changed = false;
 
   // 1. Target-level operations, in submission order (the arrived items are
   // sorted by (page, op index)). A delete applies at most once across the
@@ -327,6 +327,7 @@ Status UpdateBatchExecutor::ProcessNode(PageId page, const uint64_t* items,
     if (!op.is_delete) {
       node.entries.push_back(op.entry);
       ++stats->inserts;
+      changed = true;
       continue;
     }
     if (op.done) continue;
@@ -336,16 +337,18 @@ Status UpdateBatchExecutor::ProcessNode(PageId page, const uint64_t* items,
         node.entries.erase(node.entries.begin() + static_cast<ptrdiff_t>(i));
         op.done = true;
         ++stats->deletes_found;
+        changed = true;
         break;
       }
     }
   }
 
-  // 2. Child updates queued by the level below: tightened MBRs, dissolved
-  // children, split siblings. Applied before this node's own resolution,
-  // so a subsequent split distributes already-correct entries.
+  // 2. Child updates queued by the level below: new slot rectangles,
+  // dissolved children, split siblings. Applied before this node's own
+  // resolution, so a subsequent split distributes already-correct entries.
   if (auto it = child_updates_.find(page); it != child_updates_.end()) {
     for (const ChildUpdate& u : it->second) {
+      changed = true;  // A kMbr is queued only for a slot that differs.
       if (u.kind == ChildUpdate::Kind::kAdd) {
         node.entries.push_back(u.add);
         continue;
@@ -366,16 +369,32 @@ Status UpdateBatchExecutor::ProcessNode(PageId page, const uint64_t* items,
     it->second.clear();
   }
 
-  // 3. Resolve this node and queue its parent's update.
+  // 3. An unchanged node is done: it stays clean, and its parent's slot
+  // needs nothing from it.
+  if (!changed) return Status::OK();
+  ++stats->pages_mutated;
+
+  // 4. Resolve this node and queue its parent's update.
   const bool is_root = page == tree_->root_;
   const RTreeConfig& cfg = tree_->config_;
-  auto queue_parent = [&](ChildUpdate update) -> Status {
-    const auto parent = parent_of_.find(page);
-    if (parent == parent_of_.end()) {
+  const ParentSlot* parent = nullptr;
+  if (!is_root) {
+    const auto found = parent_of_.find(page);
+    if (found == parent_of_.end()) {
       return Status::Corruption("mutated node has no located parent");
     }
-    child_updates_[parent->second].push_back(std::move(update));
-    return Status::OK();
+    parent = &found->second;
+  }
+  auto queue_parent = [&](ChildUpdate update) {
+    child_updates_[parent->parent].push_back(std::move(update));
+  };
+  // The parent's slot is rewritten only when it would change: compared
+  // against the slot Locate read, not this node's old MBR, so a slot that
+  // was loose before still ends up exact once its child changes.
+  auto queue_mbr = [&](const Rect& mbr) {
+    if (mbr != parent->rect) {
+      queue_parent(ChildUpdate{ChildUpdate::Kind::kMbr, page, Entry{}, mbr});
+    }
   };
 
   if (is_root && !node.is_leaf() && node.entries.empty()) {
@@ -394,8 +413,9 @@ Status UpdateBatchExecutor::ProcessNode(PageId page, const uint64_t* items,
     }
     ++stats->condensed_nodes;
     RTB_RETURN_IF_ERROR(SerializeNode(node, page_size, guard.mutable_data()));
-    return queue_parent(ChildUpdate{ChildUpdate::Kind::kRemove, page,
-                                    Entry{}, Rect::Empty()});
+    queue_parent(ChildUpdate{ChildUpdate::Kind::kRemove, page, Entry{},
+                             Rect::Empty()});
+    return Status::OK();
   }
   if (node.entries.size() > cfg.max_entries) {
     if (is_root) return GrowRoot(&guard, std::move(node), stats);
@@ -404,23 +424,21 @@ Status UpdateBatchExecutor::ProcessNode(PageId page, const uint64_t* items,
     stats->splits += groups.size() - 1;
     Node kept{node.level, std::move(groups.front())};
     RTB_RETURN_IF_ERROR(SerializeNode(kept, page_size, guard.mutable_data()));
-    RTB_RETURN_IF_ERROR(queue_parent(ChildUpdate{
-        ChildUpdate::Kind::kMbr, page, Entry{}, kept.Mbr()}));
+    queue_mbr(kept.Mbr());
     for (size_t g = 1; g < groups.size(); ++g) {
       RTB_ASSIGN_OR_RETURN(PageGuard sibling_guard, pool->NewPage());
       Node sibling{node.level, std::move(groups[g])};
       RTB_RETURN_IF_ERROR(
           SerializeNode(sibling, page_size, sibling_guard.mutable_data()));
-      RTB_RETURN_IF_ERROR(queue_parent(ChildUpdate{
+      queue_parent(ChildUpdate{
           ChildUpdate::Kind::kAdd, storage::kInvalidPageId,
-          Entry{sibling.Mbr(), sibling_guard.page_id()}, Rect::Empty()}));
+          Entry{sibling.Mbr(), sibling_guard.page_id()}, Rect::Empty()});
     }
     return Status::OK();
   }
   RTB_RETURN_IF_ERROR(SerializeNode(node, page_size, guard.mutable_data()));
-  if (is_root) return Status::OK();
-  return queue_parent(
-      ChildUpdate{ChildUpdate::Kind::kMbr, page, Entry{}, node.Mbr()});
+  if (!is_root) queue_mbr(node.Mbr());
+  return Status::OK();
 }
 
 void UpdateBatchExecutor::MultiSplit(

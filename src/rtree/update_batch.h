@@ -10,9 +10,18 @@
 // containing child — one level per round, with the frontier sorted by page
 // id so each distinct page is pinned once per round. When the descent
 // reaches the target level the operations are grouped by leaf and each
-// group is applied under a single mutable pin; the dirtied leaves are
+// group is applied under a single pin; the dirtied leaves are
 // page-id-adjacent after a bulk load, so the pool's flush and eviction
 // writebacks coalesce them into vectored writes (PageStore::WriteBatch).
+//
+// Only changed pages are written. A node is pinned for reading and dirtied
+// only when its bytes change: an insert lands, a delete finds its entry, a
+// child slot is added, removed or gets a different rectangle, or the node
+// is split or condensed. A delete candidate that does not hold the entry,
+// and an ancestor whose slot already covers what changed below it, stay
+// clean, so they are never logged, committed or written back. A node asks
+// its parent for a new slot rectangle only when its MBR differs from the
+// slot Locate read, so an insert inside its leaf's MBR stops at the leaf.
 //
 // Structure changes feed back into the same batch:
 //   * a node driven past max_entries by net inserts is split, possibly
@@ -88,11 +97,11 @@ struct UpdateBatchStats {
   uint64_t inserts = 0;         ///< Entries added to leaves.
   uint64_t deletes_found = 0;   ///< Delete ops that removed an entry.
   uint64_t deletes_missing = 0; ///< Delete ops whose entry did not exist.
-  /// Logical (node, op) visits during descent plus one per mutated node —
+  /// Logical (node, op) visits during descent plus one per processed node —
   /// comparable to summing serial per-update path lengths.
   uint64_t node_accesses = 0;
-  /// Nodes pinned mutably; within one pass each touched node counts once
-  /// no matter how many operations land on it.
+  /// Nodes whose bytes changed (dirtied); within one pass each changed node
+  /// counts once no matter how many operations land on it.
   uint64_t pages_mutated = 0;
   uint64_t splits = 0;           ///< Nodes split (k-way counts k-1).
   uint64_t condensed_nodes = 0;  ///< Underflowing nodes dissolved.
@@ -147,15 +156,22 @@ class UpdateBatchExecutor {
     bool done = false;  // Deletes: applied in an earlier group this pass.
   };
 
-  // A mutation a processed child hands to its parent. kMbr tightens the
-  // child's slot, kRemove drops a dissolved child's slot, kAdd appends a
-  // split sibling.
+  // A mutation a processed child hands to its parent. kMbr gives the
+  // child's slot a new rectangle, kRemove drops a dissolved child's slot,
+  // kAdd appends a split sibling.
   struct ChildUpdate {
     enum class Kind : uint8_t { kMbr, kRemove, kAdd };
     Kind kind = Kind::kMbr;
     storage::PageId child = storage::kInvalidPageId;  // kMbr / kRemove.
     Entry add;                                        // kAdd.
     geom::Rect mbr;                                   // kMbr.
+  };
+
+  // Where a located page hangs: its parent and the rectangle of its slot
+  // there, as Locate read it.
+  struct ParentSlot {
+    storage::PageId parent = storage::kInvalidPageId;
+    geom::Rect rect;
   };
 
   // A frontier item is (page, op) packed as page << 32 | op index, so the
@@ -192,9 +208,10 @@ class UpdateBatchExecutor {
                     size_t end);
 
   // Applies target-level groups and child updates to the node at `page`
-  // under one mutable pin, then resolves overflow/underflow and queues the
-  // parent's update. `ops` is the [begin, end) slice of arrived_ for this
-  // page (possibly empty when only child updates are pending).
+  // under one pin, then resolves overflow/underflow and queues the parent's
+  // update. The page is dirtied only if its bytes change. `ops` is the
+  // [begin, end) slice of arrived_ for this page (possibly empty when only
+  // child updates are pending).
   Status ProcessNode(storage::PageId page, const uint64_t* ops, size_t nops,
                      UpdateBatchStats* stats);
 
@@ -228,9 +245,9 @@ class UpdateBatchExecutor {
   std::vector<uint64_t> arrived_;
   std::vector<storage::PageId> window_ids_;
   std::vector<storage::PageId> level_pages_;
-  // Locate-time tree structure, valid for one pass: who routed to a page,
-  // and at which level it lives.
-  std::unordered_map<storage::PageId, storage::PageId> parent_of_;
+  // Locate-time tree structure, valid for one pass: who routed to a page
+  // (and through which slot), and at which level it lives.
+  std::unordered_map<storage::PageId, ParentSlot> parent_of_;
   std::unordered_map<storage::PageId, uint16_t> level_of_;
   std::unordered_map<storage::PageId, std::vector<ChildUpdate>>
       child_updates_;

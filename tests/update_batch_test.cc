@@ -17,6 +17,10 @@
 //   * slices — with a WAL attached the executor commits a batch in slices
 //     sized to the pool; the sliced batch equals the serial oracle, and the
 //     per-op delete_found flags stay right across slice boundaries;
+//   * only changed pages are written — a batch of absent deletes dirties
+//     and logs nothing, and inserts inside leaf MBRs dirty exactly their
+//     leaves (the randomized oracle checks that parents stay tight, whole
+//     and sliced);
 //   * write faults — an injected write fault during a batch leaves the
 //     store decodable and the failed pages dirty, so a retried flush
 //     completes the batch.
@@ -62,9 +66,9 @@ struct TreeFixture {
         pool(BufferPool::MakeLru(&store, pool_pages)) {}
 };
 
-// All leaf entries of the tree, sorted so multisets compare with ==.
-std::vector<Entry> LeafEntries(const RTree& tree) {
-  std::vector<Entry> out;
+// Calls fn(page, view) for every leaf of the tree.
+template <typename Fn>
+void ForEachLeaf(const RTree& tree, Fn fn) {
   std::vector<PageId> stack{tree.root()};
   while (!stack.empty()) {
     const PageId page = stack.back();
@@ -73,14 +77,22 @@ std::vector<Entry> LeafEntries(const RTree& tree) {
     RTB_CHECK(guard.ok());
     auto view = NodeView::Create(guard->data(), tree.pool()->page_size());
     RTB_CHECK(view.ok());
+    if (view->is_leaf()) {
+      fn(page, *view);
+      continue;
+    }
     for (uint16_t i = 0; i < view->count(); ++i) {
-      if (view->is_leaf()) {
-        out.push_back(view->entry(i));
-      } else {
-        stack.push_back(static_cast<PageId>(view->id(i)));
-      }
+      stack.push_back(static_cast<PageId>(view->id(i)));
     }
   }
+}
+
+// All leaf entries of the tree, sorted so multisets compare with ==.
+std::vector<Entry> LeafEntries(const RTree& tree) {
+  std::vector<Entry> out;
+  ForEachLeaf(tree, [&out](PageId, const NodeView& leaf) {
+    for (uint16_t i = 0; i < leaf.count(); ++i) out.push_back(leaf.entry(i));
+  });
   std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
     if (a.id != b.id) return a.id < b.id;
     return a.rect.lo.x < b.rect.lo.x;
@@ -94,6 +106,85 @@ void ExpectValid(TreeFixture& fx, const RTree& tree,
   ValidationReport report = ValidateTree(&fx.store, tree.root(), config);
   EXPECT_TRUE(report.ok) << (report.issues.empty() ? "no issues"
                                                    : report.issues.front());
+}
+
+// A window-1 WAL attached to a pool for one test: every commit is its own
+// sync point, so the file holds every record, and the log starts at a
+// checkpoint, with no page image in it.
+class ScopedWal {
+ public:
+  ScopedWal(storage::PageCache* pool, const std::string& tag)
+      : pool_(pool),
+        path_(::testing::TempDir() + "/rtb_" + tag + "_" +
+              std::to_string(::getpid()) + ".wal"),
+        was_durable_(storage::DurableSyncActive()) {
+    storage::SetDurableSync(false);
+    auto wal = storage::WalWriter::Create(path_, {/*window=*/1});
+    RTB_CHECK(wal.ok());
+    wal_ = std::move(*wal);
+    pool_->AttachWal(wal_.get());
+    RTB_CHECK(pool_->WalCheckpoint().ok());
+  }
+  ScopedWal(const ScopedWal&) = delete;
+  ScopedWal& operator=(const ScopedWal&) = delete;
+  ~ScopedWal() {
+    Detach();
+    std::remove(path_.c_str());
+    storage::SetDurableSync(was_durable_);
+  }
+
+  // Detaches and closes the log; returns every record after its checkpoint.
+  std::vector<storage::WalRecord> Records() {
+    Detach();
+    auto reader = storage::WalReader::Open(path_);
+    RTB_CHECK(reader.ok());
+    std::vector<storage::WalRecord> out;
+    storage::WalRecord record;
+    while ((*reader)->Next(&record)) {
+      if (record.type != storage::WalRecordType::kCheckpoint) {
+        out.push_back(record);
+      }
+    }
+    return out;
+  }
+
+ private:
+  void Detach() {
+    if (wal_ == nullptr) return;
+    pool_->AttachWal(nullptr);
+    RTB_CHECK(wal_->Close().ok());
+    wal_.reset();
+  }
+
+  storage::PageCache* pool_;
+  std::string path_;
+  bool was_durable_;
+  std::unique_ptr<storage::WalWriter> wal_;
+};
+
+// Whether every descent below `page` that follows only slots containing
+// `r` — the only slots a least-enlargement ChooseSubtree picks for an `r`
+// some leaf MBR contains — ends in a leaf with room for `room` more
+// entries. Then inserting `r` changes one leaf and no MBR.
+bool ContainingPathsEndWithRoom(const RTree& tree, PageId page, const Rect& r,
+                                size_t room) {
+  auto guard = tree.pool()->Fetch(page);
+  RTB_CHECK(guard.ok());
+  auto view = NodeView::Create(guard->data(), tree.pool()->page_size());
+  RTB_CHECK(view.ok());
+  if (view->is_leaf()) {
+    return view->count() + room <= tree.config().max_entries;
+  }
+  bool any = false;
+  for (uint16_t i = 0; i < view->count(); ++i) {
+    if (!view->rect(i).Contains(r)) continue;
+    any = true;
+    if (!ContainingPathsEndWithRoom(tree, static_cast<PageId>(view->id(i)), r,
+                                    room)) {
+      return false;
+    }
+  }
+  return any;
 }
 
 TEST(UpdateBatchTest, EmptyBatchIsANoOp) {
@@ -182,68 +273,84 @@ TEST(UpdateBatchTest, BatchOfOneIsByteIdenticalToSerial) {
 }
 
 // Random mixed batches against a plain multiset oracle, validating the
-// tree after every batch. Covers splits, condensation and reinsertion
-// under every batch size the loop reaches.
+// tree after every batch, parents included: a node sends its parent a new
+// slot only when its MBR differs from the slot the descent read, and
+// ValidateTree requires every slot to equal its child's MBR. Covers splits,
+// condensation and reinsertion under every batch size the loop reaches,
+// with each batch run whole and, through a WAL-attached pool, in slices.
 TEST(UpdateBatchTest, RandomizedMixedOracle) {
-  for (const uint32_t fanout : {4u, 10u}) {
-    const RTreeConfig config = RTreeConfig::WithFanout(fanout);
-    TreeFixture fx;
-    auto tree = RTree::Create(fx.pool.get(), config);
-    ASSERT_TRUE(tree.ok());
-    UpdateBatchExecutor exec(&*tree);
+  for (const bool sliced : {false, true}) {
+    for (const uint32_t fanout : {4u, 10u}) {
+      SCOPED_TRACE(std::string(sliced ? "sliced" : "whole") + " fanout " +
+                   std::to_string(fanout));
+      const RTreeConfig config = RTreeConfig::WithFanout(fanout);
+      TreeFixture fx(sliced ? 64 : 256);
+      auto tree = RTree::Create(fx.pool.get(), config);
+      ASSERT_TRUE(tree.ok());
+      UpdateBatchExecutor exec(&*tree);
+      std::unique_ptr<ScopedWal> wal;
+      if (sliced) wal = std::make_unique<ScopedWal>(fx.pool.get(), "oracle");
 
-    Rng rng(fanout * 97 + 1);
-    std::vector<std::pair<Rect, ObjectId>> oracle;
-    ObjectId next_id = 0;
-    UpdateBatchStats stats;
-    for (int round = 0; round < 30; ++round) {
-      const size_t batch = 1 + rng.UniformInt(97);
-      std::vector<UpdateOp> ops;
-      // Delete victims come from the batch-start oracle, each at most
-      // once, so batched and oracle semantics agree (deleting an entry
-      // inserted by the same batch is unspecified).
-      const size_t start = oracle.size();
-      std::vector<size_t> doomed;
-      for (size_t k = 0; k < batch; ++k) {
-        const bool do_delete =
-            start > 0 && doomed.size() < start && rng.NextDouble() < 0.45;
-        if (do_delete) {
-          size_t v = rng.UniformInt(static_cast<uint64_t>(start));
-          while (std::find(doomed.begin(), doomed.end(), v) != doomed.end()) {
-            v = (v + 1) % start;
+      Rng rng(fanout * 97 + 1);
+      std::vector<std::pair<Rect, ObjectId>> oracle;
+      ObjectId next_id = 0;
+      UpdateBatchStats stats;
+      size_t commits = 0;
+      for (int round = 0; round < 30; ++round) {
+        const size_t batch = 1 + rng.UniformInt(97);
+        std::vector<UpdateOp> ops;
+        // Delete victims come from the batch-start oracle, each at most
+        // once, so batched and oracle semantics agree (deleting an entry
+        // inserted by the same batch is unspecified).
+        const size_t start = oracle.size();
+        std::vector<size_t> doomed;
+        for (size_t k = 0; k < batch; ++k) {
+          const bool do_delete =
+              start > 0 && doomed.size() < start && rng.NextDouble() < 0.45;
+          if (do_delete) {
+            size_t v = rng.UniformInt(static_cast<uint64_t>(start));
+            while (std::find(doomed.begin(), doomed.end(), v) !=
+                   doomed.end()) {
+              v = (v + 1) % start;
+            }
+            doomed.push_back(v);
+            ops.push_back(
+                UpdateOp::Delete(oracle[v].first, oracle[v].second));
+          } else {
+            const Rect r = RandomRect(rng, 0.08);
+            ops.push_back(UpdateOp::Insert(r, next_id));
+            oracle.emplace_back(r, next_id);
+            ++next_id;
           }
-          doomed.push_back(v);
-          ops.push_back(UpdateOp::Delete(oracle[v].first, oracle[v].second));
-        } else {
-          const Rect r = RandomRect(rng, 0.08);
-          ops.push_back(UpdateOp::Insert(r, next_id));
-          oracle.emplace_back(r, next_id);
-          ++next_id;
         }
-      }
-      // Apply the deletes to the oracle (descending index keeps the
-      // earlier indices stable).
-      std::sort(doomed.rbegin(), doomed.rend());
-      for (size_t v : doomed) {
-        oracle.erase(oracle.begin() + static_cast<ptrdiff_t>(v));
-      }
+        // Apply the deletes to the oracle (descending index keeps the
+        // earlier indices stable).
+        std::sort(doomed.rbegin(), doomed.rend());
+        for (size_t v : doomed) {
+          oracle.erase(oracle.begin() + static_cast<ptrdiff_t>(v));
+        }
 
-      ASSERT_TRUE(exec.Run(ops, &stats).ok());
-      ASSERT_NO_FATAL_FAILURE(ExpectValid(fx, *tree, config));
+        ASSERT_TRUE(exec.Run(ops, &stats).ok());
+        commits += exec.commits().size();
+        ASSERT_NO_FATAL_FAILURE(ExpectValid(fx, *tree, config));
 
-      std::vector<Entry> expect;
-      expect.reserve(oracle.size());
-      for (const auto& [r, id] : oracle) expect.push_back(Entry{r, id});
-      std::sort(expect.begin(), expect.end(),
-                [](const Entry& a, const Entry& b) {
-                  if (a.id != b.id) return a.id < b.id;
-                  return a.rect.lo.x < b.rect.lo.x;
-                });
-      ASSERT_EQ(LeafEntries(*tree), expect) << "round " << round;
+        std::vector<Entry> expect;
+        expect.reserve(oracle.size());
+        for (const auto& [r, id] : oracle) expect.push_back(Entry{r, id});
+        std::sort(expect.begin(), expect.end(),
+                  [](const Entry& a, const Entry& b) {
+                    if (a.id != b.id) return a.id < b.id;
+                    return a.rect.lo.x < b.rect.lo.x;
+                  });
+        ASSERT_EQ(LeafEntries(*tree), expect) << "round " << round;
+      }
+      EXPECT_EQ(stats.deletes_missing, 0u);
+      EXPECT_GT(stats.splits, 0u);
+      EXPECT_GT(stats.condensed_nodes, 0u);
+      if (sliced) {
+        EXPECT_GT(commits, 30u);
+      }
     }
-    EXPECT_EQ(stats.deletes_missing, 0u);
-    EXPECT_GT(stats.splits, 0u);
-    EXPECT_GT(stats.condensed_nodes, 0u);
   }
 }
 
@@ -513,6 +620,126 @@ TEST(UpdateBatchTest, GroupByLeafPinsEachDirtyPageOnce) {
   ASSERT_TRUE(exec.Run(ops, &stats).ok());
   EXPECT_EQ(stats.pages_mutated, 1u);  // All 50 fit the one root leaf.
   EXPECT_EQ(stats.inserts, 50u);
+}
+
+// A delete fans out to every leaf whose MBR contains its rectangle. When
+// none of them holds the entry nothing changed, so nothing is dirtied: no
+// page counts as mutated, the commit logs no page image and a flush writes
+// nothing.
+TEST(UpdateBatchTest, AbsentDeletesDirtyAndLogNothing) {
+  const RTreeConfig config = RTreeConfig::WithFanout(8);
+  TreeFixture fx;
+  auto tree = RTree::Create(fx.pool.get(), config);
+  ASSERT_TRUE(tree.ok());
+  UpdateBatchExecutor exec(&*tree);
+
+  Rng rng(61);
+  std::vector<UpdateOp> preload;
+  for (int i = 0; i < 600; ++i) {
+    preload.push_back(UpdateOp::Insert(RandomRect(rng, 0.1),
+                                       static_cast<ObjectId>(i)));
+  }
+  ASSERT_TRUE(exec.Run(preload).ok());
+
+  // Absent entries whose rectangle at least three leaf MBRs contain.
+  std::vector<Rect> leaf_mbrs;
+  ForEachLeaf(*tree, [&leaf_mbrs](PageId, const NodeView& leaf) {
+    leaf_mbrs.push_back(leaf.Mbr());
+  });
+  std::vector<UpdateOp> ops;
+  for (int tries = 0; ops.size() < 40 && tries < 100000; ++tries) {
+    const double x = rng.NextDouble() * 0.99;
+    const double y = rng.NextDouble() * 0.99;
+    const Rect r(x, y, x + 0.001, y + 0.001);
+    const auto holders =
+        std::count_if(leaf_mbrs.begin(), leaf_mbrs.end(),
+                      [&r](const Rect& mbr) { return mbr.Contains(r); });
+    if (holders >= 3) {
+      ops.push_back(UpdateOp::Delete(r, 100000 + ObjectId(ops.size())));
+    }
+  }
+  ASSERT_EQ(ops.size(), 40u);
+
+  ScopedWal wal(fx.pool.get(), "absent_deletes");
+  const uint64_t writes_before = fx.store.stats().writes;
+  UpdateBatchStats stats;
+  ASSERT_TRUE(exec.Run(ops, &stats).ok());
+  EXPECT_EQ(stats.deletes_missing, ops.size());
+  EXPECT_EQ(stats.pages_mutated, 0u);
+  EXPECT_EQ(fx.pool->num_uncommitted(), 0u);
+  ASSERT_TRUE(fx.pool->FlushAll().ok());
+  EXPECT_EQ(fx.store.stats().writes, writes_before);
+
+  // Only the commit records are new.
+  const std::vector<storage::WalRecord> records = wal.Records();
+  EXPECT_EQ(records.size(), exec.commits().size());
+  for (const storage::WalRecord& record : records) {
+    EXPECT_EQ(record.type, storage::WalRecordType::kCommit);
+  }
+}
+
+// Inserts whose rectangles lie inside leaf MBRs with room change those
+// leaves and nothing above them: the batch dirties, counts and logs exactly
+// its distinct target leaves and no internal page.
+TEST(UpdateBatchTest, InsertsInsideLeafMbrsDirtyOnlyTheirLeaves) {
+  const RTreeConfig config = RTreeConfig::WithFanout(32);
+  TreeFixture fx;
+  auto tree = RTree::Create(fx.pool.get(), config);
+  ASSERT_TRUE(tree.ok());
+  UpdateBatchExecutor exec(&*tree);
+
+  // Preloaded in batches of 100, so splits leave leaves with room.
+  Rng rng(67);
+  for (int b = 0; b < 20; ++b) {
+    std::vector<UpdateOp> preload;
+    for (int i = 0; i < 100; ++i) {
+      preload.push_back(UpdateOp::Insert(RandomRect(rng, 0.02),
+                                         static_cast<ObjectId>(b * 100 + i)));
+    }
+    ASSERT_TRUE(exec.Run(preload).ok());
+  }
+  ASSERT_GE(tree->height(), 3u);
+
+  constexpr size_t kInserts = 12;
+  constexpr ObjectId kFirstId = 50000;
+  std::vector<UpdateOp> ops;
+  for (int tries = 0; ops.size() < kInserts && tries < 100000; ++tries) {
+    const double x = rng.NextDouble();
+    const double y = rng.NextDouble();
+    const Rect r(x, y, x, y);
+    if (ContainingPathsEndWithRoom(*tree, tree->root(), r, kInserts)) {
+      ops.push_back(UpdateOp::Insert(r, kFirstId + ObjectId(ops.size())));
+    }
+  }
+  ASSERT_EQ(ops.size(), kInserts);
+
+  ScopedWal wal(fx.pool.get(), "inside_inserts");
+  UpdateBatchStats stats;
+  ASSERT_TRUE(exec.Run(ops, &stats).ok());
+  ASSERT_EQ(stats.splits, 0u);
+
+  // The leaves the inserts landed in.
+  std::vector<PageId> targets;
+  ForEachLeaf(*tree, [&targets](PageId page, const NodeView& leaf) {
+    for (uint16_t i = 0; i < leaf.count(); ++i) {
+      if (leaf.id(i) >= kFirstId) {
+        targets.push_back(page);
+        return;
+      }
+    }
+  });
+  ASSERT_GE(targets.size(), 2u);
+  EXPECT_EQ(stats.pages_mutated, targets.size());
+
+  std::vector<PageId> logged;
+  for (const storage::WalRecord& record : wal.Records()) {
+    if (record.type == storage::WalRecordType::kPageImage) {
+      logged.push_back(record.page_id);
+    }
+  }
+  std::sort(targets.begin(), targets.end());
+  std::sort(logged.begin(), logged.end());
+  EXPECT_EQ(logged, targets);
 }
 
 // An injected write fault during the batch surfaces as an error, the store
