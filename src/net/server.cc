@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <thread>
 
 #include "rtree/knn.h"
 #include "util/macros.h"
@@ -57,12 +58,17 @@ double Percentile(const uint64_t* hist, size_t buckets, uint64_t total,
 
 }  // namespace
 
+size_t ServerOptions::DefaultSearchWorkers() {
+  return std::clamp<size_t>(std::thread::hardware_concurrency(), 1, 4);
+}
+
 Server::Server(ServingStack* stack, ServerOptions options)
     : stack_(stack), options_(options) {
   options_.max_batch = std::max<uint32_t>(1, options_.max_batch);
   options_.max_inflight = std::max<uint32_t>(1, options_.max_inflight);
   options_.max_queue = std::max(options_.max_queue, options_.max_batch);
-  search_exec_ = std::make_unique<rtree::BatchExecutor>(stack->tree());
+  search_exec_ = std::make_unique<rtree::BatchExecutor>(
+      stack->tree(), options_.search_workers);
   update_exec_ = std::make_unique<rtree::UpdateBatchExecutor>(stack->tree());
 }
 
@@ -657,6 +663,7 @@ report::JsonDict Server::StatsJson() const {
   doc.PutDict("server", std::move(server));
 
   report::JsonDict batch;
+  batch.PutInt("search_workers", search_exec_->workers());
   batch.PutInt("search_node_accesses", stats_.search_batch.node_accesses);
   batch.PutInt("search_page_visits", stats_.search_batch.page_visits);
   batch.PutInt("update_inserts", stats_.update_batch.inserts);
@@ -674,6 +681,10 @@ report::JsonDict Server::StatsJson() const {
   pool.PutInt("evictions", bs.evictions);
   pool.PutInt("writebacks", bs.writebacks);
   pool.PutNum("hit_rate", bs.HitRate());
+  pool.PutInt("shards", stack_->pool()->num_shards());
+  // Shard-lock acquisitions that found the lock held: the search workers
+  // own disjoint shards within a level, so this stays near 0.
+  pool.PutInt("lock_waits", stack_->pool()->lock_waits());
   doc.PutDict("pool", std::move(pool));
 
   if (stack_->wal_active()) {

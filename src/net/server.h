@@ -1,6 +1,6 @@
 // The rtb_server admission/coalescing loop.
 //
-// One thread runs everything: an epoll(7) loop accepts connections, reads
+// One thread runs the reactor: an epoll(7) loop accepts connections, reads
 // pipelined frames (net/protocol.h) into per-connection buffers, and parks
 // each decoded request in an admission queue. The queue drains into ONE
 // executor run when either bound of the coalescing window trips —
@@ -14,9 +14,16 @@
 //                  (group-commit window applies) before any reply is
 //                  encoded, so an acked update is logged-committed;
 //   2. searches  — one BatchExecutor::Run over every SEARCH rectangle,
-//                  observing this drain's updates;
+//                  observing this drain's updates; each tree level's page
+//                  runs are split by buffer shard over
+//                  ServerOptions::search_workers threads (the serving
+//                  thread and parked helpers), and the serving thread
+//                  waits for the level to finish;
 //   3. kNN       — serially (best-first search does not batch);
 //   4. stats     — answered from the counters after 1-3.
+//
+// Everything but the search levels — admission, updates, kNN, STATS and
+// reply encoding — runs on the serving thread.
 //
 // Replies are encoded into per-connection output buffers and flushed with
 // nonblocking writes (EPOLLOUT on short writes), out-of-order across
@@ -71,6 +78,12 @@ struct ServerOptions {
   uint32_t max_queue = 4096;
   /// listen(2) backlog.
   int backlog = 256;
+  /// Threads each search drain's tree levels run on (the serving thread plus
+  /// search_workers - 1 helpers; clamped to the pool's shard count).
+  size_t search_workers = DefaultSearchWorkers();
+
+  /// min(4, hardware threads), at least 1.
+  static size_t DefaultSearchWorkers();
 };
 
 /// p50/p99 request latency from a log-scale microsecond histogram
@@ -122,6 +135,9 @@ class Server {
 
   /// The bound port (valid after Start; equals options.port unless 0).
   uint16_t port() const { return port_; }
+
+  /// Threads the search levels run on (search_workers after clamping).
+  size_t search_workers() const { return search_exec_->workers(); }
 
   /// Runs the admission loop until RequestShutdown(). Returns OK after a
   /// graceful drain; an error only for unrecoverable executor/epoll

@@ -1,10 +1,12 @@
 #include "net/serving.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/runner.h"
 #include "storage/file_page_store.h"
 #include "storage/replacement.h"
+#include "storage/sharded_buffer_pool.h"
 #include "util/macros.h"
 
 namespace rtb::net {
@@ -29,13 +31,20 @@ Result<std::unique_ptr<ServingStack>> ServingStack::Open(
 
   RTB_ASSIGN_OR_RETURN(storage::PolicyKind kind,
                        engine::ParsePolicyKind(effective.pool.policy));
+  // A sharded pool of about kFramesPerShard frames per shard, at most
+  // kDefaultShards of them: the search executor splits each level's page
+  // runs over its workers by shard, and because every shard sees the same
+  // accesses whatever the worker count, the pool's counters do not depend
+  // on it.
   const uint64_t pages = effective.pool.buffer_pages;
-  // The admission loop executes every batch on one thread, so the serial
-  // pool applies regardless of client count — that is what makes the
-  // coalescing determinism test possible.
-  stack->pool_ = std::make_unique<storage::BufferPool>(
-      stack->prepared_.store.get(), pages,
-      storage::MakePolicy(kind, pages, effective.run.seed));
+  storage::ShardedBufferPool::Options options;
+  options.num_shards = std::clamp<uint64_t>(
+      pages / ServingStack::kFramesPerShard, 1,
+      storage::ShardedBufferPool::kDefaultShards);
+  options.policy = kind;
+  options.seed = effective.run.seed;
+  stack->pool_ = std::make_unique<storage::ShardedBufferPool>(
+      stack->prepared_.store.get(), pages, options);
 
   if (effective.pool.pinned_levels > 0) {
     RTB_RETURN_IF_ERROR(sim::PinTopLevels(stack->pool_.get(),

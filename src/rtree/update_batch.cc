@@ -63,7 +63,10 @@ Status UpdateBatchExecutor::Run(std::span<const UpdateOp> ops,
         delete_found != nullptr ? delete_found->data() + done : nullptr));
     if (sliced) {
       prev_rate_ = rate_;
-      rate_ = static_cast<double>(pool->num_uncommitted()) /
+      // Each shard of a sharded pool is no-steal on its own frames, so the
+      // rate is the fullest shard's, scaled to the whole pool.
+      rate_ = static_cast<double>(pool->peak_shard_uncommitted() *
+                                  pool->num_shards()) /
               static_cast<double>(n);
     }
     // Slice boundary = commit boundary: the pool images its uncommitted
@@ -217,8 +220,9 @@ Status UpdateBatchExecutor::Locate(UpdateBatchStats* stats) {
     (pending_[i].target_level == root_level ? arrived_ : frontier_)
         .push_back(PackItem(root, i));
   }
-  const size_t window =
-      std::min(kMaxFetchWindow, std::max<size_t>(1, pool->capacity() / 4));
+  const size_t window = std::min(
+      kMaxFetchWindow,
+      std::max<size_t>(1, pool->capacity() / pool->num_shards() / 4));
 
   // One round per tree level; routing an internal page only emits items
   // one level down, so the frontier stays level-homogeneous.

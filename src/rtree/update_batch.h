@@ -43,9 +43,10 @@
 // consecutive ops, each committed before the next starts. Each slice is
 // sized to dirty about a third of the pool at the measured uncommitted
 // pages per op (the larger of the last two slices' rates, carried across
-// Run() calls; before the first measurement, height + 1 pages per op).
-// The rest of the pool holds the pages a slice reads. Without a WAL the
-// whole batch is one slice.
+// Run() calls; before the first measurement, height + 1 pages per op). On
+// a sharded pool the rate is the fullest shard's times the shard count, so
+// the slice fills a third of that shard. The rest of the pool holds the
+// pages a slice reads. Without a WAL the whole batch is one slice.
 //
 // Equivalence with the serial path: a batch (slice) of size <= 1 delegates to
 // RTree::Insert / RTree::Delete and is byte-identical to it by

@@ -201,6 +201,11 @@ class PageCache {
   /// the next WalCommit logs.
   virtual size_t num_uncommitted() const { return 0; }
 
+  /// Uncommitted pages in the shard holding the most of them. Each shard is
+  /// no-steal on its own frames, so this, not the total, is what decides
+  /// when a shard runs out; num_uncommitted() for a single-shard cache.
+  virtual size_t peak_shard_uncommitted() const { return num_uncommitted(); }
+
   /// Drops all dirty state without writing anything — the teardown of a
   /// simulated crash, where the dying process's buffered pages must NOT
   /// reach the store. Frames stay resident but clean; the cache is only
@@ -213,6 +218,22 @@ class PageCache {
   /// Merged hit/miss counters across the whole cache (all shards).
   virtual BufferStats AggregateStats() const = 0;
   virtual void ResetStats() = 0;
+
+  /// Independent partitions of the frame budget. Each shard has its own
+  /// frames, replacement policy and counters, so accesses to different
+  /// shards never interact: the hit/miss sequence of one shard depends only
+  /// on the accesses routed to it. A single-partition cache returns 1.
+  virtual size_t num_shards() const { return 1; }
+
+  /// The shard `id` routes to, in [0, num_shards()).
+  virtual size_t ShardOf(PageId id) const {
+    (void)id;
+    return 0;
+  }
+
+  /// Shard-lock acquisitions that had to wait for another thread (0 for
+  /// caches without locks).
+  virtual uint64_t lock_waits() const { return 0; }
 
  protected:
   /// The commit half of WalCommit: image every uncommitted page, append one

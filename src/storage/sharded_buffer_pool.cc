@@ -52,7 +52,7 @@ std::unique_ptr<ShardedBufferPool> ShardedBufferPool::MakeLru(
 
 Result<PageGuard> ShardedBufferPool::Fetch(PageId id) {
   Shard& s = *shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  const auto lock = Lock(s);
   RTB_ASSIGN_OR_RETURN(FrameId f, s.pool->PinPage(id));
   return PageGuard(this, Frame{id, s.pool->FrameData(f), f},
                    /*mark_dirty=*/false);
@@ -60,7 +60,7 @@ Result<PageGuard> ShardedBufferPool::Fetch(PageId id) {
 
 Result<PageGuard> ShardedBufferPool::FetchMutable(PageId id) {
   Shard& s = *shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  const auto lock = Lock(s);
   RTB_ASSIGN_OR_RETURN(FrameId f, s.pool->PinPage(id));
   return PageGuard(this, Frame{id, s.pool->FrameData(f), f},
                    /*mark_dirty=*/true);
@@ -70,7 +70,6 @@ Result<std::vector<PageGuard>> ShardedBufferPool::FetchBatch(
     const PageId* ids, size_t count) {
   std::vector<PageGuard> guards;
   guards.reserve(count);
-  std::vector<BufferPool::BatchEntry> run;  // Reused across runs.
   Status error = Status::OK();
   size_t i = 0;
   while (i < count && error.ok()) {
@@ -80,8 +79,10 @@ Result<std::vector<PageGuard>> ShardedBufferPool::FetchBatch(
     // thread ever observes an unfilled frame.
     const size_t shard = ShardOf(ids[i]);
     Shard& s = *shards_[shard];
+    const auto lock = Lock(s);
+    // The shard's own FetchBatch scratch, guarded by the shard lock.
+    std::vector<BufferPool::BatchEntry>& run = s.pool->batch_entries_;
     run.clear();
-    std::lock_guard<std::mutex> lock(s.mu);
     for (; i < count && ShardOf(ids[i]) == shard; ++i) {
       bool pending = false;
       Result<FrameId> f = s.pool->PinPageNoRead(ids[i], &pending);
@@ -119,7 +120,7 @@ Result<PageGuard> ShardedBufferPool::NewPage() {
   // the shard its id hashes to.
   RTB_ASSIGN_OR_RETURN(PageId id, store_->Allocate());
   Shard& s = *shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  const auto lock = Lock(s);
   RTB_ASSIGN_OR_RETURN(FrameId f, s.pool->InstallNewPage(id));
   return PageGuard(this, Frame{id, s.pool->FrameData(f), f},
                    /*mark_dirty=*/true);
@@ -129,26 +130,26 @@ void ShardedBufferPool::Unpin(const Frame& frame, bool dirty) {
   // The guard's frame_id indexes into the owning shard's pool; route by the
   // page id's shard hash, as Fetch did.
   Shard& s = *shards_[ShardOf(frame.page_id)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  const auto lock = Lock(s);
   s.pool->Unpin(frame, dirty);
 }
 
 Status ShardedBufferPool::PinPermanently(PageId id) {
   Shard& s = *shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  const auto lock = Lock(s);
   return s.pool->PinPermanently(id);
 }
 
 Status ShardedBufferPool::UnpinPermanently(PageId id) {
   Shard& s = *shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  const auto lock = Lock(s);
   return s.pool->UnpinPermanently(id);
 }
 
 size_t ShardedBufferPool::num_permanent_pins() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    const auto lock = Lock(*shard);
     total += shard->pool->num_permanent_pins();
   }
   return total;
@@ -156,7 +157,7 @@ size_t ShardedBufferPool::num_permanent_pins() const {
 
 Status ShardedBufferPool::FlushAll() {
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    const auto lock = Lock(*shard);
     RTB_RETURN_IF_ERROR(shard->pool->FlushAll());
   }
   return Status::OK();
@@ -164,7 +165,7 @@ Status ShardedBufferPool::FlushAll() {
 
 Status ShardedBufferPool::EvictAll() {
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    const auto lock = Lock(*shard);
     RTB_RETURN_IF_ERROR(shard->pool->EvictAll());
   }
   return Status::OK();
@@ -173,7 +174,7 @@ Status ShardedBufferPool::EvictAll() {
 void ShardedBufferPool::AttachWal(WalWriter* wal) {
   wal_ = wal;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    const auto lock = Lock(*shard);
     shard->pool->AttachWal(wal);
   }
 }
@@ -182,12 +183,12 @@ Result<Lsn> ShardedBufferPool::WalAppendCommit() {
   // Image every shard's uncommitted pages first, then one commit record
   // covers the whole pool's batch; only then may any shard evict them.
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    const auto lock = Lock(*shard);
     shard->pool->WalLogUncommitted();
   }
   RTB_ASSIGN_OR_RETURN(const Lsn lsn, wal_->Commit(store_->num_pages()));
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    const auto lock = Lock(*shard);
     RTB_RETURN_IF_ERROR(shard->pool->WalMarkCommitted(lsn));
   }
   return lsn;
@@ -196,10 +197,19 @@ Result<Lsn> ShardedBufferPool::WalAppendCommit() {
 size_t ShardedBufferPool::num_uncommitted() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    const auto lock = Lock(*shard);
     total += shard->pool->num_uncommitted();
   }
   return total;
+}
+
+size_t ShardedBufferPool::peak_shard_uncommitted() const {
+  size_t peak = 0;
+  for (const auto& shard : shards_) {
+    const auto lock = Lock(*shard);
+    peak = std::max(peak, shard->pool->num_uncommitted());
+  }
+  return peak;
 }
 
 Status ShardedBufferPool::WalCheckpoint() {
@@ -211,21 +221,21 @@ Status ShardedBufferPool::WalCheckpoint() {
 
 void ShardedBufferPool::DiscardAll() {
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    const auto lock = Lock(*shard);
     shard->pool->DiscardAll();
   }
 }
 
 bool ShardedBufferPool::Contains(PageId id) const {
   const Shard& s = *shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(s.mu);
+  const auto lock = Lock(s);
   return s.pool->Contains(id);
 }
 
 BufferStats ShardedBufferPool::AggregateStats() const {
   BufferStats total;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    const auto lock = Lock(*shard);
     total += shard->pool->stats();
   }
   return total;
@@ -233,16 +243,24 @@ BufferStats ShardedBufferPool::AggregateStats() const {
 
 void ShardedBufferPool::ResetStats() {
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    const auto lock = Lock(*shard);
     shard->pool->ResetStats();
   }
+}
+
+uint64_t ShardedBufferPool::lock_waits() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->lock_waits.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 std::vector<BufferStats> ShardedBufferPool::ShardStats() const {
   std::vector<BufferStats> out;
   out.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    const auto lock = Lock(*shard);
     out.push_back(shard->pool->stats());
   }
   return out;

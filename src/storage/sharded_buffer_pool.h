@@ -1,9 +1,9 @@
 // ShardedBufferPool: a thread-safe PageCache built from N lock-striped
 // BufferPool shards.
 //
-// Pages are hashed by PageId onto a shard; each shard owns an independent
-// slice of the frame budget, its own replacement policy, and its own
-// BufferStats, all guarded by one mutex per shard. A fetch therefore takes
+// Pages are hashed by 8-page block onto a shard; each shard owns an
+// independent slice of the frame budget, its own replacement policy, and its
+// own BufferStats, all guarded by one mutex per shard. A fetch therefore takes
 // exactly one uncontended lock in the common case, and two threads touching
 // pages on different shards never serialize. AggregateStats() merges the
 // per-shard counters into the single view the experiments report.
@@ -22,6 +22,7 @@
 #ifndef RTB_STORAGE_SHARDED_BUFFER_POOL_H_
 #define RTB_STORAGE_SHARDED_BUFFER_POOL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -71,18 +72,32 @@ class ShardedBufferPool final : public PageCache {
 
   size_t capacity() const override { return capacity_; }
   size_t page_size() const override { return store_->page_size(); }
-  size_t num_shards() const { return shards_.size(); }
+  size_t num_shards() const override { return shards_.size(); }
+
+  /// Routes by 8-page block: SplitMix64 of `id >> 3`. Consecutive
+  /// ids of one block share a shard, so a page-sorted fetch window drawn
+  /// from one shard still coalesces into vectored store reads, while the
+  /// blocks of a contiguously laid-out tree level spread over the stripes.
+  size_t ShardOf(PageId id) const override {
+    uint64_t z = (static_cast<uint64_t>(id) >> kBlockShift) +
+                 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return static_cast<size_t>((z ^ (z >> 31)) & shard_mask_);
+  }
+
+  /// Contended shard-lock acquisitions (a failed try_lock, then a blocking
+  /// lock), summed over the shards.
+  uint64_t lock_waits() const override;
 
   Result<PageGuard> Fetch(PageId id) override;
   Result<PageGuard> FetchMutable(PageId id) override;
 
-  /// Takes one shard-lock acquisition per run of consecutive ids hashing to
+  /// Takes one shard-lock acquisition per run of consecutive ids routed to
   /// the same shard, and routes each run's misses through one store
-  /// ReadBatch under that lock. SplitMix64 routing scatters the executor's
-  /// page-id-sorted windows, so same-shard runs of length one are the
-  /// common case here — the syscall-coalescing win of ReadBatch belongs to
-  /// the serial BufferPool; this override's win remains the amortized lock
-  /// churn under contention.
+  /// ReadBatch under that lock. The batch executor draws each window from
+  /// one shard, so a window is one run and its consecutive misses coalesce
+  /// into vectored reads, as on the serial BufferPool.
   Result<std::vector<PageGuard>> FetchBatch(const PageId* ids,
                                             size_t count) override;
 
@@ -112,6 +127,7 @@ class ShardedBufferPool final : public PageCache {
   WalWriter* attached_wal() const override { return wal_; }
   Status WalCheckpoint() override;
   size_t num_uncommitted() const override;
+  size_t peak_shard_uncommitted() const override;
   void DiscardAll() override;
 
   bool Contains(PageId id) const override;
@@ -127,18 +143,24 @@ class ShardedBufferPool final : public PageCache {
   Result<Lsn> WalAppendCommit() override;
 
  private:
+  /// Pages per routing block (a power of two).
+  static constexpr unsigned kBlockShift = 3;
+
   struct Shard {
     mutable std::mutex mu;
+    mutable std::atomic<uint64_t> lock_waits{0};
     std::unique_ptr<BufferPool> pool;
   };
 
-  size_t ShardOf(PageId id) const {
-    // SplitMix64 finalizer: consecutive page ids (an R-tree level laid out
-    // contiguously) must not cluster on one stripe.
-    uint64_t z = static_cast<uint64_t>(id) + 0x9E3779B97F4A7C15ULL;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return static_cast<size_t>((z ^ (z >> 31)) & shard_mask_);
+  // Takes the shard's lock, counting the acquisition in lock_waits when
+  // another thread holds it.
+  static std::unique_lock<std::mutex> Lock(const Shard& s) {
+    std::unique_lock<std::mutex> lock(s.mu, std::try_to_lock);
+    if (!lock.owns_lock()) {
+      s.lock_waits.fetch_add(1, std::memory_order_relaxed);
+      lock.lock();
+    }
+    return lock;
   }
 
   void Unpin(const Frame& frame, bool dirty) override;

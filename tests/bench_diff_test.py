@@ -5,7 +5,8 @@
 
 The gate takes the median throughput of several candidate runs per row:
 one slow run out of three passes, two slow runs out of three fail, and a
-baseline row missing from a candidate fails whatever the throughput.
+baseline row missing from a candidate fails whatever the throughput. A WAL
+bench row is gated on batches_per_sec, not on commits_per_sec.
 """
 
 import json
@@ -38,6 +39,13 @@ def gate(tmp, baseline, candidates):
     return proc.returncode, proc.stdout
 
 
+def wal_report(commits_per_sec, batches_per_sec):
+    return {"bench": "micro_wal_commit",
+            "configs": [{"config": "window_8_smallpool",
+                         "commits_per_sec": commits_per_sec,
+                         "batches_per_sec": batches_per_sec}]}
+
+
 def main():
     base = report({"a": BASE_QPS, "b": BASE_QPS})
     ok = report({"a": PASS_QPS, "b": PASS_QPS})
@@ -55,10 +63,19 @@ def main():
          [report({"a": PASS_QPS, "b": PASS_QPS, "c": 1.0})] * 3, 0,
          "only in candidate"),
     ]
+    # (name, baseline, candidate runs, expected exit code, output text)
+    wal_base = wal_report(17434.0, 2054.0)
+    cases = [(name, base, runs, want, text)
+             for name, runs, want, text in cases] + [
+        ("WAL row: commits/s down, batches/s up passes", wal_base,
+         [wal_report(12345.0, 2416.0)] * 3, 0, "no throughput regression"),
+        ("WAL row: batches/s down fails", wal_base,
+         [wal_report(17434.0, 1000.0)] * 3, 1, "<< REGRESSION"),
+    ]
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name, candidates, want, text in cases:
-            code, out = gate(tmp, base, candidates)
+        for name, baseline, candidates, want, text in cases:
+            code, out = gate(tmp, baseline, candidates)
             if code != want or text not in out:
                 failures += 1
                 print("FAIL: %s: exit %d, want %d\n%s" % (name, code, want,

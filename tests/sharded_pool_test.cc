@@ -3,17 +3,22 @@
 // hammer tests (run these under -DRTB_SANITIZE=thread to certify the
 // locking; see DESIGN.md).
 
+#include <unistd.h>
+
 #include <atomic>
 #include <barrier>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "storage/buffer_pool.h"
+#include "storage/file_page_store.h"
 #include "storage/page_store.h"
 #include "storage/sharded_buffer_pool.h"
 #include "util/rng.h"
@@ -100,6 +105,54 @@ TEST(ShardedBufferPoolTest, SingleShardMatchesSerialPoolExactly) {
   EXPECT_EQ(a.misses, b.misses);
   EXPECT_EQ(a.evictions, b.evictions);
   EXPECT_EQ(store_a->stats().reads, store_b->stats().reads);
+}
+
+TEST(ShardedBufferPoolTest, BlockOfEightIdsSharesShardAndOneReadBatch) {
+  // Routing is by 8-page block: a block's ids share a shard, blocks spread
+  // over the shards, and a fetch window of one block reaches a vectored
+  // store as one read batch.
+  const std::string path = ::testing::TempDir() + "/rtb_sharded_block_" +
+                           std::to_string(::getpid());
+  auto store = FilePageStore::Create(path, kPageSize);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  std::vector<uint8_t> data(kPageSize, 0);
+  for (int i = 0; i < 128; ++i) {
+    auto id = (*store)->Allocate();
+    ASSERT_TRUE(id.ok());
+    data[0] = static_cast<uint8_t>(*id);
+    ASSERT_TRUE((*store)->Write(*id, data.data()).ok());
+  }
+  auto pool = ShardedBufferPool::MakeLru(store->get(), 64, 8);
+  ASSERT_EQ(pool->num_shards(), 8u);
+  std::set<size_t> used;
+  for (PageId block = 0; block < 16; ++block) {
+    const size_t shard = pool->ShardOf(block * 8);
+    ASSERT_LT(shard, pool->num_shards());
+    used.insert(shard);
+    for (PageId p = block * 8; p < block * 8 + 8; ++p) {
+      EXPECT_EQ(pool->ShardOf(p), shard) << "page " << p;
+    }
+  }
+  EXPECT_GE(used.size(), 4u) << "16 blocks must spread over the shards";
+
+  const bool vectored = SetVectoredIo(true);
+  (*store)->ResetStats();
+  std::vector<PageId> ids;
+  for (PageId p = 24; p < 32; ++p) ids.push_back(p);
+  auto guards = pool->FetchBatch(ids.data(), ids.size());
+  ASSERT_TRUE(guards.ok());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ((*guards)[i].data()[0], static_cast<uint8_t>(ids[i]));
+  }
+  const IoStats io = (*store)->stats();
+  EXPECT_EQ(io.reads, 8u);
+  if (vectored) {
+    EXPECT_EQ(io.read_batches, 1u);
+    EXPECT_EQ(io.batch_pages, 8u);
+  }
+  guards->clear();
+  ASSERT_TRUE((*store)->Close().ok());
+  std::remove(path.c_str());
 }
 
 TEST(ShardedBufferPoolTest, DirtyPagesWrittenBackThroughShards) {

@@ -10,7 +10,8 @@ All files must be the same kind of report:
   * a bench report (BENCH_*.json: {"bench": ..., "configs": [...]}) — rows
     are matched by their "config" name and the gated metric is
     "queries_per_sec" ("updates_per_sec" for the update benches,
-    "commits_per_sec"/"batches_per_sec" for the WAL group-commit bench);
+    "batches_per_sec" for the WAL group-commit bench, whose
+    commits_per_sec counts commit slices rather than work done);
   * an engine run report (rtb_cli run output: {"report": "rtb-run", ...}) —
     rows are matched by class "label" (plus the "totals" row) and the gated
     metric is "queries_per_second".
@@ -40,8 +41,12 @@ import json
 import statistics
 import sys
 
+# The first key a row reports (non-zero) is its gated throughput. The WAL
+# bench's rows carry both batches_per_sec and commits_per_sec; batches come
+# first because a no-steal pool commits a drain in more or fewer slices as
+# the pool's room changes, so commits/s can fall while the work done rises.
 THROUGHPUT_KEYS = ("queries_per_sec", "queries_per_second",
-                   "updates_per_sec", "commits_per_sec", "batches_per_sec")
+                   "updates_per_sec", "batches_per_sec", "commits_per_sec")
 # Secondary metrics worth echoing when they move by more than 1%.
 INFO_DELTA = 0.01
 
