@@ -1,6 +1,5 @@
 // micro_update_batch — batched vs. tuple-at-a-time updates on a
-// file-backed store, and vectored (pwritev) vs. scalar dirty-page
-// writeback.
+// file-backed store.
 //
 // One insert/delete op stream (50/50 mix; deletes target surviving
 // bulk-load entries, so the stream is independent of flush timing) is
@@ -8,25 +7,22 @@
 // row. Every row drains through UpdateBatchExecutor and flushes the pool
 // after each drain, so dirty pages reach the store once per drain:
 //
-//   * serial_scalar    — drain size 1 (the executor delegates to
-//                        RTree::Insert/Delete, Guttman's algorithms): every
-//                        update re-pins and rewrites its whole root-to-leaf
-//                        path, one pwrite per dirty page.
-//   * batched_scalar   — drain size `batch`: group-by-leaf application pins
-//                        each touched page once per batch, so a leaf
-//                        receiving k updates is written back once, not k
-//                        times. Still one pwrite per page.
-//   * batched_vectored — same, with the pool's sorted flush handed to
-//                        FilePageStore::WriteBatch, which coalesces runs of
-//                        consecutive page ids into pwritev.
+//   * serial  — drain size 1 (the executor delegates to
+//               RTree::Insert/Delete, Guttman's algorithms): every update
+//               re-pins and rewrites its whole root-to-leaf path.
+//   * batched — drain size `batch`: group-by-leaf application pins each
+//               touched page once per batch, so a leaf receiving k updates
+//               is written back once, not k times.
+//
+// Both hand the pool's page-id-sorted flush to FilePageStore::WriteBatch,
+// which coalesces runs of consecutive page ids into pwritev.
 //
 // Reported per measured op: pool pin requests (the pin-economy claim),
 // page writes (the paper's disk-write metric), and write syscalls
 // (writes - batch_pages + batches; the number the two batching layers
 // shrink). Rows are checked to leave the same number of data entries and
 // a structurally valid tree. The acceptance criterion (asserted at batch
-// >= 64 when pwritev is available): batched_vectored uses <= half the
-// write syscalls per op of serial_scalar.
+// >= 64): batched uses <= half the write syscalls per op of serial.
 
 #include <algorithm>
 #include <chrono>
@@ -93,9 +89,8 @@ std::vector<UpdateOp> MakeOps(uint64_t n, const std::vector<Rect>& rects,
 // measured ops only.
 Measurement RunVariant(const std::string& path, const std::vector<Rect>& rects,
                        const std::vector<UpdateOp>& ops, uint32_t fanout,
-                       bool vectored, uint64_t drain, uint64_t buffer_pages,
+                       uint64_t drain, uint64_t buffer_pages,
                        uint64_t warmup) {
-  RTB_CHECK(storage::SetVectoredIo(vectored) || !vectored);
   std::remove(path.c_str());
   auto store = storage::FilePageStore::Create(path);
   RTB_CHECK(store.ok());
@@ -219,8 +214,6 @@ int Run(int argc, char** argv) {
   report.meta().PutInt("deletes", n_deletes);
   report.meta().PutInt("buffer_pages", buffer_pages);
   report.meta().PutInt("batch", batch);
-  report.meta().PutBool("vectored_available",
-                        storage::VectoredIoAvailable());
 
   Table table({"config", "updates/s", "pins/op", "writes/op", "syscalls/op",
                "pages/batch"});
@@ -234,30 +227,19 @@ int Run(int argc, char** argv) {
   };
 
   const Measurement serial = RunVariant(path, rects, ops, fanout,
-                                        /*vectored=*/false, /*drain=*/1,
-                                        buffer_pages, warmup);
-  add("serial_scalar", serial, serial);
+                                        /*drain=*/1, buffer_pages, warmup);
+  add("serial", serial, serial);
 
-  const Measurement batched = RunVariant(path, rects, ops, fanout,
-                                         /*vectored=*/false, batch,
+  const Measurement batched = RunVariant(path, rects, ops, fanout, batch,
                                          buffer_pages, warmup);
   RTB_CHECK(batched.entries == serial.entries);
   RTB_CHECK(batched.deletes_found == serial.deletes_found);
-  add("batched_scalar", batched, serial);
-
-  if (storage::VectoredIoAvailable()) {
-    const Measurement vectored = RunVariant(path, rects, ops, fanout,
-                                            /*vectored=*/true, batch,
-                                            buffer_pages, warmup);
-    RTB_CHECK(vectored.entries == serial.entries);
-    RTB_CHECK(vectored.deletes_found == serial.deletes_found);
-    RTB_CHECK(vectored.write_batches > 0);
-    add("batched_vectored", vectored, serial);
-    // The PR's acceptance bar: >= 2x fewer write syscalls than
-    // tuple-at-a-time once batches reach 64 ops.
-    if (batch >= 64) {
-      RTB_CHECK(vectored.syscalls_per_op * 2.0 <= serial.syscalls_per_op);
-    }
+  RTB_CHECK(batched.write_batches > 0);
+  add("batched", batched, serial);
+  // The acceptance bar: >= 2x fewer write syscalls than tuple-at-a-time
+  // once batches reach 64 ops.
+  if (batch >= 64) {
+    RTB_CHECK(batched.syscalls_per_op * 2.0 <= serial.syscalls_per_op);
   }
 
   table.Print();

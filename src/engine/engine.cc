@@ -209,9 +209,6 @@ Result<ModelEstimate> EvaluateModel(const rtree::TreeSummary& summary,
 
 Result<RunReport> Run(const ExperimentSpec& spec) {
   RTB_RETURN_IF_ERROR(spec.Validate());
-  // Applies to every FilePageStore in the process; a no-op request to
-  // enable a path the binary lacks degrades to scalar pread.
-  storage::SetVectoredIo(spec.storage.vectored_io);
   RunReport report;
   report.spec = spec;
 

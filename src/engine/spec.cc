@@ -106,9 +106,6 @@ Status ParseStorage(const JsonValue& v, StorageSpec* out) {
       RTB_RETURN_IF_ERROR(GetStr(value, "storage.backend", &out->backend));
     } else if (key == "path") {
       RTB_RETURN_IF_ERROR(GetStr(value, "storage.path", &out->path));
-    } else if (key == "vectored_io") {
-      RTB_RETURN_IF_ERROR(
-          GetBool(value, "storage.vectored_io", &out->vectored_io));
     } else if (key == "wal") {
       RTB_RETURN_IF_ERROR(ParseWal(value, &out->wal));
     } else {
@@ -431,7 +428,6 @@ report::JsonDict ExperimentSpec::ToJsonDict() const {
   report::JsonDict st;
   st.PutStr("backend", storage.backend);
   if (!storage.path.empty()) st.PutStr("path", storage.path);
-  st.PutBool("vectored_io", storage.vectored_io);
   if (storage.wal.enabled || !storage.wal.path.empty() ||
       storage.wal.group_commit_window != WalSpec().group_commit_window) {
     // Omitted entirely at the defaults, so a WAL-off spec round-trips to

@@ -88,7 +88,6 @@ struct WalSpec {
 struct StorageSpec {
   std::string backend = "mem";  // mem|file
   std::string path;             // Store file (backend == "file").
-  bool vectored_io = true;      // false forces one pread per page.
   WalSpec wal;
 };
 

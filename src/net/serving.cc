@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "sim/runner.h"
-#include "storage/file_page_store.h"
 #include "storage/replacement.h"
 #include "storage/sharded_buffer_pool.h"
 #include "util/macros.h"
@@ -23,7 +22,6 @@ Result<std::unique_ptr<ServingStack>> ServingStack::Open(
     effective.workload.classes.push_back(cls);
   }
   RTB_RETURN_IF_ERROR(effective.Validate());
-  storage::SetVectoredIo(effective.storage.vectored_io);
 
   auto stack = std::unique_ptr<ServingStack>(new ServingStack());
   stack->spec_ = effective;

@@ -344,12 +344,11 @@ Result<FrameId> BufferPool::PinPage(PageId id) {
 Status BufferPool::ReadPendingFrames(BatchEntry* entries, size_t n) {
   if (!store_->CoalescesBatchReads()) {
     // The store would serve ReadBatch as a loop of per-page reads anyway
-    // (MemPageStore, or a file store with the vectored seam off), so read
-    // straight into the frames, in presentation order, with no sort, no id
-    // list and no staging copy — the exact read sequence of the looped
-    // Fetch path. The pending flags clear only once every read succeeded,
-    // so a mid-loop failure unwinds exactly like a failed ReadBatch:
-    // nothing from this batch stays resident.
+    // (MemPageStore), so read straight into the frames, in presentation
+    // order, with no sort, no id list and no staging copy — the exact read
+    // sequence of the looped Fetch path. The pending flags clear only once
+    // every read succeeded, so a mid-loop failure unwinds exactly like a
+    // failed ReadBatch: nothing from this batch stays resident.
     for (size_t i = 0; i < n; ++i) {
       if (!entries[i].pending) continue;
       RTB_RETURN_IF_ERROR(store_->Read(entries[i].id, FrameData(entries[i].frame)));
@@ -556,7 +555,7 @@ Status BufferPool::FlushAll() {
   }
   if (wb_frames_.empty()) return Status::OK();
   // Page-id order turns the flush into the longest possible consecutive
-  // runs for WriteBatch, and keeps the scalar path's seeks monotone.
+  // runs for WriteBatch, and keeps a per-page store's writes in id order.
   std::sort(wb_frames_.begin(), wb_frames_.end(),
             [this](FrameId a, FrameId b) {
               return frames_[a].page_id < frames_[b].page_id;

@@ -5,11 +5,9 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string>
 #include <vector>
 
 #include "storage/wal.h"
@@ -21,8 +19,8 @@ constexpr uint32_t kFileMagic = 0x52544253;  // "RTBS"
 constexpr uint32_t kFileVersion = 1;
 constexpr size_t kHeaderSize = 32;
 
-// Longest run one preadv covers; longer runs split. Far below IOV_MAX, and
-// comfortably above the buffer pools' fetch windows.
+// Longest run one preadv/pwritev covers; longer runs split. Far below
+// IOV_MAX, and comfortably above the buffer pools' fetch windows.
 constexpr size_t kMaxVectoredRun = 64;
 
 struct Header {
@@ -71,44 +69,29 @@ bool PwriteFull(int fd, const uint8_t* buf, size_t len, off_t offset) {
   return true;
 }
 
-bool InitialVectored() {
-#if defined(RTB_VECTORED_IO_ENABLED)
-  if (const char* env = std::getenv("RTB_VECTORED_IO")) {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-        std::strcmp(env, "scalar") == 0) {
-      return false;
+// Every id in `ids[0..n)` must be allocated; `op` names the access.
+Status CheckAllocated(const PageId* ids, size_t n, PageId num_pages,
+                      const char* op) {
+  for (size_t i = 0; i < n; ++i) {
+    if (ids[i] >= num_pages) {
+      return Status::NotFound(std::string(op) + " of unallocated page " +
+                              std::to_string(ids[i]));
     }
   }
-  return true;
-#else
-  return false;
-#endif
+  return Status::OK();
 }
 
-std::atomic<bool>& VectoredSlot() {
-  static std::atomic<bool> slot{InitialVectored()};
-  return slot;
+// Length of the run of consecutive ids at the front of `ids[0..n)`: those
+// pages are contiguous on disk, so one syscall covers them.
+size_t RunLength(const PageId* ids, size_t n) {
+  size_t run = 1;
+  while (run < kMaxVectoredRun && run < n && ids[run] == ids[0] + run) {
+    ++run;
+  }
+  return run;
 }
 
 }  // namespace
-
-bool VectoredIoAvailable() {
-#if defined(RTB_VECTORED_IO_ENABLED)
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool VectoredIoActive() {
-  return VectoredSlot().load(std::memory_order_relaxed);
-}
-
-bool SetVectoredIo(bool on) {
-  if (on && !VectoredIoAvailable()) return false;
-  VectoredSlot().store(on, std::memory_order_relaxed);
-  return true;
-}
 
 Result<std::unique_ptr<FilePageStore>> FilePageStore::Create(
     const std::string& path, size_t page_size) {
@@ -227,159 +210,85 @@ Result<PageId> FilePageStore::Allocate() {
 }
 
 Status FilePageStore::Read(PageId id, uint8_t* out) {
-  if (id >= num_pages_.load(std::memory_order_acquire)) {
-    return Status::NotFound("read of unallocated page " + std::to_string(id));
-  }
-  if (!PreadFull(fd_, out, page_size_, PageOffset(id, page_size_))) {
-    return Status::IoError(path_ + ": page read failed");
-  }
-  reads_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  return ReadBatch(&id, 1, out);
 }
 
 Status FilePageStore::ReadBatch(const PageId* ids, size_t n, uint8_t* out) {
-  const PageId num_pages = num_pages_.load(std::memory_order_acquire);
-  for (size_t i = 0; i < n; ++i) {
-    if (ids[i] >= num_pages) {
-      return Status::NotFound("read of unallocated page " +
-                              std::to_string(ids[i]));
-    }
-  }
-  [[maybe_unused]] const bool vectored = VectoredIoActive();
-  size_t i = 0;
-  while (i < n) {
-    // Extend the run while the ids stay consecutive: those pages are
-    // contiguous on disk (and in `out`), so one vectored read covers them.
-    size_t run = 1;
-    while (run < kMaxVectoredRun && i + run < n &&
-           ids[i + run] == ids[i] + run) {
-      ++run;
-    }
-#if defined(RTB_VECTORED_IO_ENABLED)
-    if (vectored && run >= 2) {
-      // One iovec per page keeps the accounting page-granular and is the
-      // shape a scatter destination (per-frame iovecs) would use; the
-      // kernel sees a single contiguous transfer either way.
-      uint8_t* dst = out + i * page_size_;
-      const size_t total = run * page_size_;
-      const off_t base = PageOffset(ids[i], page_size_);
-      size_t done = 0;
-      while (done < total) {
-        struct iovec iov[kMaxVectoredRun];
-        const size_t first = done / page_size_;
-        const size_t within = done % page_size_;
-        int cnt = 0;
-        for (size_t p = first; p < run; ++p) {
-          const size_t skip = p == first ? within : 0;
-          iov[cnt].iov_base = dst + p * page_size_ + skip;
-          iov[cnt].iov_len = page_size_ - skip;
-          ++cnt;
-        }
-        const ssize_t got =
-            ::preadv(fd_, iov, cnt, base + static_cast<off_t>(done));
-        if (got < 0) {
-          if (errno == EINTR) continue;
-          return Status::IoError(path_ + ": batch page read failed");
-        }
-        if (got == 0) {
-          return Status::IoError(path_ + ": short read in page batch");
-        }
-        done += static_cast<size_t>(got);
-      }
-      reads_.fetch_add(run, std::memory_order_relaxed);
-      read_batches_.fetch_add(1, std::memory_order_relaxed);
-      batch_pages_.fetch_add(run, std::memory_order_relaxed);
-    } else
-#endif
-    {
-      for (size_t p = 0; p < run; ++p) {
-        if (!PreadFull(fd_, out + (i + p) * page_size_, page_size_,
-                       PageOffset(ids[i + p], page_size_))) {
-          return Status::IoError(path_ + ": page read failed");
-        }
-        reads_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+  RTB_RETURN_IF_ERROR(CheckAllocated(
+      ids, n, num_pages_.load(std::memory_order_acquire), "read"));
+  for (size_t i = 0; i < n;) {
+    const size_t run = RunLength(ids + i, n - i);
+    RTB_RETURN_IF_ERROR(MoveRun(/*write=*/false, ids[i], run,
+                                out + i * page_size_));
     i += run;
   }
   return Status::OK();
 }
 
 Status FilePageStore::Write(PageId id, const uint8_t* data) {
-  if (id >= num_pages_.load(std::memory_order_acquire)) {
-    return Status::NotFound("write of unallocated page " +
-                            std::to_string(id));
-  }
-  if (!PwriteFull(fd_, data, page_size_, PageOffset(id, page_size_))) {
-    return Status::IoError(path_ + ": page write failed");
-  }
-  writes_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  return WriteBatch(&id, 1, data);
 }
 
 Status FilePageStore::WriteBatch(const PageId* ids, size_t n,
                                  const uint8_t* data) {
-  const PageId num_pages = num_pages_.load(std::memory_order_acquire);
-  for (size_t i = 0; i < n; ++i) {
-    if (ids[i] >= num_pages) {
-      return Status::NotFound("write of unallocated page " +
-                              std::to_string(ids[i]));
-    }
-  }
-  [[maybe_unused]] const bool vectored = VectoredIoActive();
-  size_t i = 0;
-  while (i < n) {
-    // Same run coalescing as ReadBatch: consecutive ids are contiguous on
-    // disk (and in `data`), so one vectored write covers the run.
-    size_t run = 1;
-    while (run < kMaxVectoredRun && i + run < n &&
-           ids[i + run] == ids[i] + run) {
-      ++run;
-    }
-#if defined(RTB_VECTORED_IO_ENABLED)
-    if (vectored && run >= 2) {
-      const uint8_t* src = data + i * page_size_;
-      const size_t total = run * page_size_;
-      const off_t base = PageOffset(ids[i], page_size_);
-      size_t done = 0;
-      while (done < total) {
-        struct iovec iov[kMaxVectoredRun];
-        const size_t first = done / page_size_;
-        const size_t within = done % page_size_;
-        int cnt = 0;
-        for (size_t p = first; p < run; ++p) {
-          const size_t skip = p == first ? within : 0;
-          // pwritev never modifies the buffers; the iovec API is just not
-          // const-correct.
-          iov[cnt].iov_base =
-              const_cast<uint8_t*>(src + p * page_size_ + skip);
-          iov[cnt].iov_len = page_size_ - skip;
-          ++cnt;
-        }
-        const ssize_t put =
-            ::pwritev(fd_, iov, cnt, base + static_cast<off_t>(done));
-        if (put < 0) {
-          if (errno == EINTR) continue;
-          return Status::IoError(path_ + ": batch page write failed");
-        }
-        done += static_cast<size_t>(put);
-      }
-      writes_.fetch_add(run, std::memory_order_relaxed);
-      write_batches_.fetch_add(1, std::memory_order_relaxed);
-      write_batch_pages_.fetch_add(run, std::memory_order_relaxed);
-    } else
-#endif
-    {
-      for (size_t p = 0; p < run; ++p) {
-        if (!PwriteFull(fd_, data + (i + p) * page_size_, page_size_,
-                        PageOffset(ids[i + p], page_size_))) {
-          return Status::IoError(path_ + ": page write failed");
-        }
-        writes_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+  RTB_RETURN_IF_ERROR(CheckAllocated(
+      ids, n, num_pages_.load(std::memory_order_acquire), "write"));
+  for (size_t i = 0; i < n;) {
+    const size_t run = RunLength(ids + i, n - i);
+    // A write only reads the buffer; MoveRun is not const-correct because
+    // the iovec API is not.
+    RTB_RETURN_IF_ERROR(MoveRun(/*write=*/true, ids[i], run,
+                                const_cast<uint8_t*>(data) + i * page_size_));
     i += run;
   }
+  return Status::OK();
+}
+
+Status FilePageStore::MoveRun(bool write, PageId first, size_t run,
+                              uint8_t* buf) {
+  const off_t base = PageOffset(first, page_size_);
+  if (run == 1) {
+    if (write ? !PwriteFull(fd_, buf, page_size_, base)
+              : !PreadFull(fd_, buf, page_size_, base)) {
+      return Status::IoError(path_ + (write ? ": page write failed"
+                                            : ": page read failed"));
+    }
+  } else {
+    // One iovec per page keeps the accounting page-granular and is the
+    // shape a scatter destination (per-frame iovecs) would use; the kernel
+    // sees a single contiguous transfer either way. A partial transfer
+    // resumes mid-page.
+    const size_t total = run * page_size_;
+    size_t done = 0;
+    while (done < total) {
+      struct iovec iov[kMaxVectoredRun];
+      int cnt = 0;
+      for (size_t at = done; at < total;) {
+        const size_t page_end = (at / page_size_ + 1) * page_size_;
+        iov[cnt].iov_base = buf + at;
+        iov[cnt].iov_len = page_end - at;
+        ++cnt;
+        at = page_end;
+      }
+      const off_t offset = base + static_cast<off_t>(done);
+      const ssize_t moved = write ? ::pwritev(fd_, iov, cnt, offset)
+                                  : ::preadv(fd_, iov, cnt, offset);
+      if (moved < 0) {
+        if (errno == EINTR) continue;
+        return Status::IoError(path_ + (write ? ": batch page write failed"
+                                              : ": batch page read failed"));
+      }
+      if (moved == 0) {
+        return Status::IoError(path_ + ": short transfer in page batch");
+      }
+      done += static_cast<size_t>(moved);
+    }
+    (write ? write_batches_ : read_batches_)
+        .fetch_add(1, std::memory_order_relaxed);
+    (write ? write_batch_pages_ : batch_pages_)
+        .fetch_add(run, std::memory_order_relaxed);
+  }
+  (write ? writes_ : reads_).fetch_add(run, std::memory_order_relaxed);
   return Status::OK();
 }
 

@@ -10,17 +10,13 @@
 // position, no lock on the data path. The only mutex serializes Allocate
 // and header writes; counters are atomic, matching MemPageStore.
 //
-// ReadBatch coalesces runs of consecutive page ids into a single `preadv`
-// per run (consecutive pages are contiguous on disk), so the batch
-// executor's page-ordered miss windows reach the kernel as one syscall per
-// run instead of one per page. The vectored path sits behind a runtime
-// seam mirroring the scan-kernel pattern: the RTB_VECTORED_IO CMake option
-// gates compilation, the RTB_VECTORED_IO environment variable
-// (0|off|scalar disables) caps the initial choice, and SetVectoredIo()
-// switches it programmatically (used by the micro_file_io bench to measure
-// both variants in one process). With the seam off every page is a scalar
-// `pread` and `IoStats::read_batches` stays zero, so per-page counts are
-// byte-identical to the pre-batch API.
+// ReadBatch and WriteBatch coalesce runs of consecutive page ids into a
+// single `preadv`/`pwritev` per run (consecutive pages are contiguous on
+// disk), so the batch executor's page-ordered miss windows and the pools'
+// sorted dirty sets reach the kernel as one syscall per run instead of one
+// per page. A run of one page is a plain `pread`/`pwrite`. Per-page counts
+// (`IoStats::reads`/`writes`) are the same whichever way a page travels;
+// only runs of two or more pages add to the batch counters.
 
 #ifndef RTB_STORAGE_FILE_PAGE_STORE_H_
 #define RTB_STORAGE_FILE_PAGE_STORE_H_
@@ -35,20 +31,6 @@
 #include "util/result.h"
 
 namespace rtb::storage {
-
-/// True when this binary was compiled with the preadv path
-/// (-DRTB_VECTORED_IO=ON, the default).
-bool VectoredIoAvailable();
-
-/// Whether FilePageStore::ReadBatch currently coalesces consecutive runs
-/// with preadv. Initially VectoredIoAvailable() unless the RTB_VECTORED_IO
-/// environment variable (0|off|scalar) disables it.
-bool VectoredIoActive();
-
-/// Enables or disables the vectored read path for subsequent ReadBatch
-/// calls. Returns false (and changes nothing) when enabling is requested
-/// but the binary lacks the path. Disabling always succeeds.
-bool SetVectoredIo(bool on);
 
 /// What FilePageStore::OpenWithRecovery found and did. All-zero (with
 /// `wal_found == false`) when there was no log to recover from.
@@ -100,17 +82,14 @@ class FilePageStore final : public PageStore {
   Result<PageId> Allocate() override;
   Status Read(PageId id, uint8_t* out) override;
   Status ReadBatch(const PageId* ids, size_t n, uint8_t* out) override;
-  // With the seam off, ReadBatch is a pread-per-page loop, so callers may
-  // as well issue the per-page reads themselves (straight into their
-  // frames, no staging copy).
-  bool CoalescesBatchReads() const override { return VectoredIoActive(); }
+  bool CoalescesBatchReads() const override { return true; }
   Status Write(PageId id, const uint8_t* data) override;
   /// The write-side twin of ReadBatch: runs of consecutive ids become one
-  /// pwritev each, behind the same vectored-I/O seam. The buffer pools feed
-  /// it page-id-sorted dirty sets (flush, eviction clusters).
+  /// pwritev each. The buffer pools feed it page-id-sorted dirty sets
+  /// (flush, eviction clusters).
   Status WriteBatch(const PageId* ids, size_t n,
                     const uint8_t* data) override;
-  bool CoalescesBatchWrites() const override { return VectoredIoActive(); }
+  bool CoalescesBatchWrites() const override { return true; }
 
   IoStats stats() const override {
     IoStats snapshot;
@@ -165,6 +144,12 @@ class FilePageStore final : public PageStore {
 
   // Requires mu_ to be held.
   Status WriteHeader();
+
+  // Moves the `run` consecutive pages starting at `first` between the file
+  // and `buf` (`run * page_size_` bytes): a pread/pwrite for one page, a
+  // preadv/pwritev for more. Counts `run` per-page reads or writes, plus
+  // one batch of `run` pages when run >= 2. The ids must be allocated.
+  Status MoveRun(bool write, PageId first, size_t run, uint8_t* buf);
 
   // Recovery helper: grows (zero-filling) or shrinks (ftruncate) the file
   // to exactly `n` pages. Requires mu_ to be held.

@@ -44,7 +44,7 @@ void SetDurableSync(bool on);
 /// additionally count the vectored operations a store managed to coalesce:
 /// a ReadBatch run of k >= 2 consecutive pages served by one preadv adds 1
 /// to `read_batches` and k to `batch_pages`. Stores without a vectored path
-/// (MemPageStore, or FilePageStore with the seam off) leave both at zero.
+/// (MemPageStore) leave both at zero.
 /// Read syscalls issued are therefore `reads - batch_pages + read_batches`.
 ///
 /// The write side mirrors this exactly: `writes` stays per-page (the
@@ -111,8 +111,8 @@ class PageStore {
   /// `out` are unspecified — a mid-batch failure may have filled a prefix.
   virtual Status ReadBatch(const PageId* ids, size_t n, uint8_t* out);
 
-  /// Whether ReadBatch can currently do better than a loop of Read calls
-  /// (FilePageStore with the vectored seam on). Callers that would have to
+  /// Whether ReadBatch can do better than a loop of Read calls (true for
+  /// FilePageStore, false for MemPageStore). Callers that would have to
   /// stage a batch through a bounce buffer — the buffer pools, whose frames
   /// are not contiguous per batch — consult this to skip the staging copy
   /// when the store would just loop anyway. Purely an optimization hint:
@@ -127,14 +127,13 @@ class PageStore {
   /// bytes, page i at `data + i * page_size()`). Counts one disk write per
   /// page, so the paper's metric is independent of batching. The default
   /// loops Write; FilePageStore coalesces runs of consecutive ids into
-  /// pwritev behind the vectored-I/O seam. On error a prefix of the batch
-  /// may have reached the store — page writes are idempotent, so callers
-  /// (the buffer pools) keep every page of a failed batch dirty and retry
-  /// the whole batch.
+  /// pwritev. On error a prefix of the batch may have reached the store —
+  /// page writes are idempotent, so callers (the buffer pools) keep every
+  /// page of a failed batch dirty and retry the whole batch.
   virtual Status WriteBatch(const PageId* ids, size_t n, const uint8_t* data);
 
-  /// Whether WriteBatch can currently do better than a loop of Write calls
-  /// (FilePageStore with the vectored seam on). The write-side twin of
+  /// Whether WriteBatch can do better than a loop of Write calls (true for
+  /// FilePageStore, false for MemPageStore). The write-side twin of
   /// CoalescesBatchReads: pools consult it to decide whether sorting and
   /// staging a dirty set through a bounce buffer can pay off. Purely an
   /// optimization hint — WriteBatch is correct (and counts identically)

@@ -20,7 +20,6 @@
 #include "sim/query_gen.h"
 #include "sim/runner.h"
 #include "storage/buffer_pool.h"
-#include "storage/file_page_store.h"
 #include "storage/page_store.h"
 #include "util/rng.h"
 
@@ -69,14 +68,12 @@ TEST(SpecTest, JsonRoundTrip) {
 
   spec.storage.backend = "file";
   spec.storage.path = ::testing::TempDir() + "/rtb_spec_rt.store";
-  spec.storage.vectored_io = false;
 
   auto parsed = ExperimentSpec::FromJson(spec.ToJsonDict().ToString());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->name, spec.name);
   EXPECT_EQ(parsed->storage.backend, spec.storage.backend);
   EXPECT_EQ(parsed->storage.path, spec.storage.path);
-  EXPECT_FALSE(parsed->storage.vectored_io);
   EXPECT_EQ(parsed->dataset.kind, spec.dataset.kind);
   EXPECT_EQ(parsed->dataset.n, spec.dataset.n);
   EXPECT_EQ(parsed->dataset.seed, spec.dataset.seed);
@@ -111,7 +108,6 @@ TEST(SpecTest, MissingFieldsKeepDefaults) {
   EXPECT_EQ(spec->workload.classes[0].count, 100000u);
   EXPECT_EQ(spec->workload.batch_size, 1u);
   EXPECT_EQ(spec->storage.backend, "mem");
-  EXPECT_TRUE(spec->storage.vectored_io);
   EXPECT_EQ(spec->run.threads, 1u);
   EXPECT_TRUE(spec->run.evaluate_model);
 }
@@ -371,12 +367,9 @@ TEST(EngineTest, FileBackendBuildsOnDiskAndCountsBatches) {
   auto report = engine::Run(spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->store_io.reads, 0u);
-  if (storage::VectoredIoAvailable()) {
-    // vectored_io defaults to true; batched misses over the file store must
-    // have coalesced at least once.
-    EXPECT_GT(report->store_io.read_batches, 0u);
-    EXPECT_GE(report->store_io.PagesPerBatch(), 2.0);
-  }
+  // Batched misses over the file store must have coalesced at least once.
+  EXPECT_GT(report->store_io.read_batches, 0u);
+  EXPECT_GE(report->store_io.PagesPerBatch(), 2.0);
   // The report surfaces the batch counters.
   auto doc = report::JsonValue::Parse(report->ToJsonString());
   ASSERT_TRUE(doc.ok());
@@ -531,12 +524,10 @@ TEST(EngineTest, MixedOnFileBackendCoalescesWrites) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->classes[0].validated);
   EXPECT_GT(report->store_io.writes, 0u);
-  if (storage::VectoredIoAvailable()) {
-    // Group-by-leaf batches dirty page-adjacent leaves; the pool's sorted
-    // flush must have coalesced at least one pwritev run.
-    EXPECT_GT(report->store_io.write_batches, 0u);
-    EXPECT_LT(report->store_io.WriteSyscalls(), report->store_io.writes);
-  }
+  // Group-by-leaf batches dirty page-adjacent leaves; the pool's sorted
+  // flush must have coalesced at least one pwritev run.
+  EXPECT_GT(report->store_io.write_batches, 0u);
+  EXPECT_LT(report->store_io.WriteSyscalls(), report->store_io.writes);
   std::remove(spec.storage.path.c_str());
 }
 

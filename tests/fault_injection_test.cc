@@ -120,9 +120,6 @@ TEST(BufferPoolFaultTest, CloseSurfacesWritebackFailureAndKeepsDirtyPage) {
 }
 
 TEST(FaultInjectionTest, HealthyBatchKeepsBaseVectoredPath) {
-  if (!VectoredIoAvailable()) GTEST_SKIP() << "vectored path not compiled";
-  const bool was_vectored = VectoredIoActive();
-  ASSERT_TRUE(SetVectoredIo(true));
   const char* path = "/tmp/rtb_fault_batch_test.store";
   auto file = FilePageStore::Create(path);
   ASSERT_TRUE(file.ok());
@@ -159,14 +156,10 @@ TEST(FaultInjectionTest, HealthyBatchKeepsBaseVectoredPath) {
   ASSERT_TRUE(store.ReadBatch(ids, 4, out.data()).ok());
 
   ASSERT_TRUE(store.Close().ok());
-  SetVectoredIo(was_vectored);
   std::remove(path);
 }
 
 TEST(FaultInjectionTest, HealthyWriteBatchKeepsBaseVectoredPath) {
-  if (!VectoredIoAvailable()) GTEST_SKIP() << "vectored path not compiled";
-  const bool was_vectored = VectoredIoActive();
-  ASSERT_TRUE(SetVectoredIo(true));
   const char* path = "/tmp/rtb_fault_write_batch_test.store";
   auto file = FilePageStore::Create(path);
   ASSERT_TRUE(file.ok());
@@ -207,14 +200,10 @@ TEST(FaultInjectionTest, HealthyWriteBatchKeepsBaseVectoredPath) {
   ASSERT_TRUE(store.WriteBatch(ids, 4, data.data()).ok());
 
   ASSERT_TRUE(store.Close().ok());
-  SetVectoredIo(was_vectored);
   std::remove(path);
 }
 
 TEST(BufferPoolFaultTest, FlushFaultKeepsAllPagesDirtyForRetry) {
-  if (!VectoredIoAvailable()) GTEST_SKIP() << "vectored path not compiled";
-  const bool was_vectored = VectoredIoActive();
-  ASSERT_TRUE(SetVectoredIo(true));
   const char* path = "/tmp/rtb_fault_flush_test.store";
   auto file = FilePageStore::Create(path);
   ASSERT_TRUE(file.ok());
@@ -240,14 +229,10 @@ TEST(BufferPoolFaultTest, FlushFaultKeepsAllPagesDirtyForRetry) {
     EXPECT_EQ(buf[0], 0x70 + i) << "page " << i;
   }
   ASSERT_TRUE(pool->Close().ok());
-  SetVectoredIo(was_vectored);
   std::remove(path);
 }
 
 TEST(BufferPoolFaultTest, EvictionClusterWritebackCoalescesAndRecovers) {
-  if (!VectoredIoAvailable()) GTEST_SKIP() << "vectored path not compiled";
-  const bool was_vectored = VectoredIoActive();
-  ASSERT_TRUE(SetVectoredIo(true));
   const char* path = "/tmp/rtb_fault_evict_cluster_test.store";
   auto file = FilePageStore::Create(path);
   ASSERT_TRUE(file.ok());
@@ -271,7 +256,6 @@ TEST(BufferPoolFaultTest, EvictionClusterWritebackCoalescesAndRecovers) {
   ASSERT_TRUE(store.Read(2, buf.data()).ok());
   EXPECT_EQ(buf[0], 0x52);
   ASSERT_TRUE(pool->Close().ok());
-  SetVectoredIo(was_vectored);
   std::remove(path);
 }
 

@@ -2,9 +2,8 @@
 // truncated files must fail Open with a precise status, a file that lost
 // its tail must fail ReadBatch mid-batch (not fabricate zeros), injected
 // faults must land mid-batch through the buffer pool without leaking
-// frames, and the vectored (preadv) path must be byte-identical to the
-// scalar pread fallback. Runs twice under ctest: once with the default
-// runtime dispatch and once with RTB_VECTORED_IO=scalar.
+// frames, and the coalesced (preadv/pwritev) batches must move the same
+// bytes as per-page Read/Write calls.
 
 #include <unistd.h>
 
@@ -30,8 +29,8 @@ namespace {
 class FilePageStoreFailureTest : public ::testing::Test {
  protected:
   std::string Path(const char* name) {
-    // The vectored and scalar ctest variants run this binary concurrently;
-    // the pid keeps their store files disjoint.
+    // The pid keeps the store files of concurrent runs of this binary
+    // disjoint.
     return ::testing::TempDir() + "/rtb_fpsf_" + std::to_string(::getpid()) +
            "_" + name;
   }
@@ -123,18 +122,12 @@ TEST_F(FilePageStoreFailureTest, ReadBatchMatchesPerPageReads) {
         << "page " << ids[k];
   }
   const IoStats stats = store->stats();
-  // Per-page read accounting is identical in both modes (5 + 5 reads);
-  // only the syscall shape differs.
+  // Per-page read accounting is the same either way (5 + 5 reads); only
+  // the syscall shape differs.
   EXPECT_EQ(stats.reads, 10u);
-  if (VectoredIoActive()) {
-    EXPECT_EQ(stats.read_batches, 1u);
-    EXPECT_EQ(stats.batch_pages, 5u);
-    EXPECT_EQ(stats.ReadSyscalls(), 6u);  // 1 preadv + 5 singles.
-  } else {
-    EXPECT_EQ(stats.read_batches, 0u);
-    EXPECT_EQ(stats.batch_pages, 0u);
-    EXPECT_EQ(stats.ReadSyscalls(), 10u);
-  }
+  EXPECT_EQ(stats.read_batches, 1u);
+  EXPECT_EQ(stats.batch_pages, 5u);
+  EXPECT_EQ(stats.ReadSyscalls(), 6u);  // 1 preadv + 5 singles.
   store.reset();
   std::remove(path.c_str());
 }
@@ -154,42 +147,48 @@ TEST_F(FilePageStoreFailureTest, ScatteredIdsNeverCoalesce) {
   std::remove(path.c_str());
 }
 
-TEST_F(FilePageStoreFailureTest, VectoredAndScalarBytesAgree) {
-  const std::string path = Path("seam");
-  auto store = MakeStore(path, 10);
+TEST_F(FilePageStoreFailureTest, WriteBatchMatchesPerPageWrites) {
+  const std::string batched_path = Path("write_batched");
+  const std::string single_path = Path("write_single");
+  auto batched = MakeStore(batched_path, 10);
+  auto single = MakeStore(single_path, 10);
+  // Two runs, {1..4} and {8, 9}, as a sorted dirty set produces them.
   const PageId ids[] = {1, 2, 3, 4, 8, 9};
-  const bool initial = VectoredIoActive();
-
-  ASSERT_TRUE(SetVectoredIo(false));
-  std::vector<uint8_t> scalar(6 * 128);
-  ASSERT_TRUE(store->ReadBatch(ids, 6, scalar.data()).ok());
-  EXPECT_EQ(store->stats().read_batches, 0u);
-
-  if (VectoredIoAvailable()) {
-    ASSERT_TRUE(SetVectoredIo(true));
-    store->ResetStats();
-    std::vector<uint8_t> vectored(6 * 128);
-    ASSERT_TRUE(store->ReadBatch(ids, 6, vectored.data()).ok());
-    EXPECT_EQ(scalar, vectored);
-    // Two runs ({1..4}, {8,9}) coalesce; per-page reads stay 6.
-    EXPECT_EQ(store->stats().reads, 6u);
-    EXPECT_EQ(store->stats().read_batches, 2u);
-    EXPECT_EQ(store->stats().batch_pages, 6u);
-  } else {
-    // A scalar-only binary must refuse to enable the path.
-    EXPECT_FALSE(SetVectoredIo(true));
+  std::vector<uint8_t> data(6 * 128);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(0xA0 + i * 7);
   }
-  SetVectoredIo(initial);
-  store.reset();
-  std::remove(path.c_str());
+  ASSERT_TRUE(batched->WriteBatch(ids, 6, data.data()).ok());
+  for (size_t k = 0; k < 6; ++k) {
+    ASSERT_TRUE(single->Write(ids[k], data.data() + k * 128).ok());
+  }
+  // Both runs coalesce; per-page writes stay 6.
+  EXPECT_EQ(batched->stats().writes, 6u);
+  EXPECT_EQ(batched->stats().write_batches, 2u);
+  EXPECT_EQ(batched->stats().write_batch_pages, 6u);
+  EXPECT_EQ(batched->stats().WriteSyscalls(), 2u);
+  EXPECT_EQ(single->stats().writes, 6u);
+  EXPECT_EQ(single->stats().write_batches, 0u);
+  EXPECT_EQ(single->stats().WriteSyscalls(), 6u);
+  // Every page, written or not, reads back the same from both stores.
+  for (PageId p = 0; p < 10; ++p) {
+    std::vector<uint8_t> a(128), b(128);
+    ASSERT_TRUE(batched->Read(p, a.data()).ok());
+    ASSERT_TRUE(single->Read(p, b.data()).ok());
+    EXPECT_EQ(a, b) << "page " << p;
+  }
+  batched.reset();
+  single.reset();
+  std::remove(batched_path.c_str());
+  std::remove(single_path.c_str());
 }
 
 TEST_F(FilePageStoreFailureTest, ReadBatchFailsOnTruncatedData) {
   const std::string path = Path("short_data");
   MakeStore(path, 4).reset();  // Header records 4 pages.
   // Chop the file mid-way through the last page: the header still promises
-  // 4 pages, but the bytes are gone. Both read paths must report the short
-  // read instead of fabricating data.
+  // 4 pages, but the bytes are gone. Batch and single-page reads must
+  // report the short read instead of fabricating data.
   const uintmax_t full = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, full - 64);
   auto reopened = FilePageStore::Open(path);
@@ -200,7 +199,7 @@ TEST_F(FilePageStoreFailureTest, ReadBatchFailsOnTruncatedData) {
   Status batch = (*reopened)->ReadBatch(ids, 4, out.data());
   ASSERT_FALSE(batch.ok());
   EXPECT_EQ(batch.code(), StatusCode::kIoError);
-  // The scalar single-page read agrees.
+  // The single-page read agrees.
   EXPECT_EQ((*reopened)->Read(3, out.data()).code(), StatusCode::kIoError);
   reopened->reset();
   std::remove(path.c_str());

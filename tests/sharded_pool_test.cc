@@ -135,7 +135,6 @@ TEST(ShardedBufferPoolTest, BlockOfEightIdsSharesShardAndOneReadBatch) {
   }
   EXPECT_GE(used.size(), 4u) << "16 blocks must spread over the shards";
 
-  const bool vectored = SetVectoredIo(true);
   (*store)->ResetStats();
   std::vector<PageId> ids;
   for (PageId p = 24; p < 32; ++p) ids.push_back(p);
@@ -146,10 +145,8 @@ TEST(ShardedBufferPoolTest, BlockOfEightIdsSharesShardAndOneReadBatch) {
   }
   const IoStats io = (*store)->stats();
   EXPECT_EQ(io.reads, 8u);
-  if (vectored) {
-    EXPECT_EQ(io.read_batches, 1u);
-    EXPECT_EQ(io.batch_pages, 8u);
-  }
+  EXPECT_EQ(io.read_batches, 1u);
+  EXPECT_EQ(io.batch_pages, 8u);
   guards->clear();
   ASSERT_TRUE((*store)->Close().ok());
   std::remove(path.c_str());

@@ -10,20 +10,19 @@
 #   tools/run_checks.sh release    # one of: release | tsan | asan | ubsan | storage | update | durability | server | workload
 #
 # `storage` is a fast focused leg: it reuses the release build and runs only
-# the `storage`-labeled tests (page stores, fault injection, the vectored
-# read path) — the suite to iterate on when touching src/storage/.
+# the `storage`-labeled tests (page stores, fault injection, the coalesced
+# preadv/pwritev batches) — the suite to iterate on when touching
+# src/storage/.
 #
 # `update` reuses the release build and runs the `update`-labeled tests
-# (batched insert/delete execution and the write-side fault injection)
-# twice: once on the default write seam (pwritev where available) and once
-# with RTB_VECTORED_IO=scalar forcing one pwrite per page — the suite to
-# iterate on when touching the update executor or the writeback path.
+# (batched insert/delete execution and the write-side fault injection) —
+# the suite to iterate on when touching the update executor or the
+# writeback path.
 #
 # `durability` reuses the release build and runs the `durability`-labeled
-# tests (WAL framing, group commit, crash-point recovery) twice: on the
-# default vectored write seam and with RTB_VECTORED_IO=scalar, so recovery
-# holds on both writeback paths. The ctest definitions already set
-# RTB_NO_FSYNC=1 — the crash model fails the process, not the kernel.
+# tests (WAL framing, group commit, crash-point recovery). The ctest
+# definitions already set RTB_NO_FSYNC=1 — the crash model fails the
+# process, not the kernel.
 #
 # `workload` runs the `workload`-labeled tests (unified query classes,
 # partial-match oracle, skewed generators, spec round-trips, open-axis and
@@ -111,19 +110,15 @@ if wants storage; then
 fi
 
 if wants update; then
-  echo "==> update (vectored writes, then forced-scalar)"
+  echo "==> update"
   configure_and_build "$ROOT/build-checks/release" -DRTB_WERROR=ON
   (cd "$ROOT/build-checks/release" && ctest -L update --output-on-failure)
-  (cd "$ROOT/build-checks/release" && \
-      RTB_VECTORED_IO=scalar ctest -L update --output-on-failure)
 fi
 
 if wants durability; then
-  echo "==> durability (vectored writes, then forced-scalar)"
+  echo "==> durability"
   configure_and_build "$ROOT/build-checks/release" -DRTB_WERROR=ON
   (cd "$ROOT/build-checks/release" && ctest -L durability --output-on-failure)
-  (cd "$ROOT/build-checks/release" && \
-      RTB_VECTORED_IO=scalar ctest -L durability --output-on-failure)
 fi
 
 if wants workload; then
