@@ -115,41 +115,6 @@ SimEstimate SimulateDiskAccesses(const Workload& w,
   return est;
 }
 
-ParallelEstimate RunParallelQueries(const Workload& w,
-                                    const model::QuerySpec& spec,
-                                    uint64_t buffer_pages, uint32_t threads,
-                                    size_t shards, uint64_t warmup,
-                                    uint64_t queries, uint64_t seed) {
-  std::unique_ptr<storage::PageCache> pool;
-  if (threads == 1 && shards == 0) {
-    pool = storage::BufferPool::MakeLru(w.store.get(), buffer_pages);
-  } else {
-    pool = storage::ShardedBufferPool::MakeLru(w.store.get(), buffer_pages,
-                                               shards);
-  }
-  auto tree = rtree::RTree::Open(pool.get(),
-                                 rtree::RTreeConfig::WithFanout(w.fanout),
-                                 w.tree.root, w.tree.height);
-  RTB_CHECK(tree.ok());
-  auto gen = sim::MakeGenerator(spec, &w.centers);
-  RTB_CHECK(gen.ok());
-  sim::WorkloadOptions options;
-  options.threads = threads;
-  options.base_seed = seed;
-  options.warmup = warmup;
-  options.queries = queries;
-  auto run = sim::RunWorkload(&*tree, w.store.get(), gen->get(), options);
-  if (!run.ok()) {
-    std::fprintf(stderr, "parallel workload failed: %s\n",
-                 run.status().ToString().c_str());
-  }
-  RTB_CHECK(run.ok());
-  ParallelEstimate est;
-  est.run = std::move(*run);
-  est.buffer = pool->AggregateStats();
-  return est;
-}
-
 Table::Table(std::vector<std::string> headers)
     : headers_(std::move(headers)) {}
 

@@ -70,23 +70,6 @@ SimEstimate SimulateDiskAccesses(const Workload& w,
                                  uint64_t buffer_pages, uint32_t batches,
                                  uint64_t batch_size, uint64_t seed);
 
-/// Execution shorthand: runs a real query workload against `w`'s tree
-/// through a fresh buffer pool, fanned out over `threads` workers.
-/// `shards == 0` with `threads == 1` uses the serial single-threaded
-/// BufferPool (the paper's configuration, bit-reproducible); otherwise a
-/// ShardedBufferPool with `shards` stripes (0 = auto) is used. Returns the
-/// reduced workload result plus the pool's merged hit/miss counters over
-/// the whole run (warm-up included).
-struct ParallelEstimate {
-  sim::WorkloadResult run;
-  storage::BufferStats buffer;
-};
-ParallelEstimate RunParallelQueries(const Workload& w,
-                                    const model::QuerySpec& spec,
-                                    uint64_t buffer_pages, uint32_t threads,
-                                    size_t shards, uint64_t warmup,
-                                    uint64_t queries, uint64_t seed);
-
 /// Aligned fixed-width table printer with optional CSV export.
 class Table {
  public:

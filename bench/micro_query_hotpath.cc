@@ -5,9 +5,8 @@
 // bulk of every query visiting nodes that are already resident; that visit
 // must be nearly free. This bench times exactly that path, in four serial
 // configurations (point/region queries x 100%-resident/buffer-constrained
-// pools) and optionally fanned out over worker threads, and emits a
-// machine-readable BENCH_micro_query_hotpath.json so future perf PRs can
-// prove their delta against the recorded trajectory.
+// pools), and emits a machine-readable BENCH_micro_query_hotpath.json so
+// future perf PRs can prove their delta against the recorded trajectory.
 //
 // Every serial configuration is measured twice:
 //
@@ -315,14 +314,11 @@ int Run(int argc, char** argv) {
                {"warmup", "5000"},
                {"region_side", "0.03"},
                {"small_buffer_frac", "0.1"},
-               {"threads", "1"},
-               {"shards", "0"},
                {"json", ""}});
   const uint64_t seed = flags.GetInt("seed");
   const uint64_t queries = flags.GetInt("queries");
   const uint64_t warmup = flags.GetInt("warmup");
   const double region_side = flags.GetDouble("region_side");
-  const uint32_t threads = static_cast<uint32_t>(flags.GetInt("threads"));
 
   Banner("micro: query hot path",
          "zero-copy NodeView read path vs. the deserializing baseline; " +
@@ -393,7 +389,6 @@ int Run(int argc, char** argv) {
 
     JsonDict& row = report.AddConfig(c.name);
     row.PutInt("buffer_pages", c.buffer_pages);
-    row.PutInt("threads", 1);
     EmitSerial(row, live, legacy);
     table.AddRow({c.name, Table::Num(live.queries_per_sec, 0),
                   Table::Num(legacy.queries_per_sec, 0),
@@ -404,26 +399,6 @@ int Run(int argc, char** argv) {
                   Table::Num(live.ns_per_node_visit, 1),
                   Table::Num(100.0 * live.hit_rate, 2) + "%",
                   Table::Num(live.allocs_per_query, 3)});
-  }
-
-  // Threaded configuration: the same resident point workload through the
-  // sharded pool. Allocations are per-thread and workers allocate on their
-  // own stacks, so the alloc column is not meaningful here; hit rate and
-  // throughput are.
-  if (threads > 1) {
-    ParallelEstimate est = RunParallelQueries(
-        w, model::QuerySpec::UniformPoint(), total_pages, threads,
-        flags.GetInt("shards"), warmup, queries, seed + 17);
-    JsonDict& row =
-        report.AddConfig("point_resident_threads" + Table::Int(threads));
-    row.PutInt("buffer_pages", total_pages);
-    row.PutInt("threads", threads);
-    row.PutNum("queries_per_sec", est.run.QueriesPerSecond());
-    row.PutNum("nodes_per_query", est.run.MeanNodeAccesses());
-    row.PutNum("hit_rate", est.buffer.HitRate());
-    table.AddRow({"point_resident_threads" + Table::Int(threads),
-                  Table::Num(est.run.QueriesPerSecond(), 0), "-", "-", "-",
-                  Table::Num(100.0 * est.buffer.HitRate(), 2) + "%", "-"});
   }
 
   table.Print();

@@ -7,6 +7,7 @@
 #include "data/datasets.h"
 #include "data/io.h"
 #include "model/cost_model.h"
+#include "rtree/batch.h"
 #include "rtree/bulk_load.h"
 #include "rtree/rtree.h"
 #include "rtree/validate.h"
@@ -20,10 +21,10 @@ namespace rtb::engine {
 
 namespace {
 
-// Class c's workers draw from substreams base_seed + c*stride + w; the
-// stride keeps the streams of successive classes disjoint for any sane
-// thread count. Class 0 uses spec.run.seed exactly, which is what keeps a
-// single-class serial spec byte-identical to the legacy serial runner.
+// Class c draws its stream from Rng(spec.run.seed + c * stride). Class 0
+// uses spec.run.seed exactly, which is what keeps a single-class serial
+// spec byte-identical to the legacy serial runner; the stride is kept from
+// the retired per-worker substreams so every class's stream is unchanged.
 constexpr uint64_t kClassSeedStride = 1u << 16;
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -105,7 +106,7 @@ Result<std::unique_ptr<storage::PageCache>> MakePool(
                        ParsePolicyKind(spec.pool.policy));
   const uint64_t pages = spec.pool.buffer_pages;
   std::unique_ptr<storage::PageCache> pool;
-  if (spec.run.threads == 1 && spec.pool.shards == 0) {
+  if (spec.pool.shards == 0) {
     // The paper's serial pool: single-threaded, globally ordered
     // replacement, bit-reproducible.
     pool = std::make_unique<storage::BufferPool>(
@@ -265,7 +266,7 @@ Result<RunReport> Run(const ExperimentSpec& spec) {
     RTB_ASSIGN_OR_RETURN(std::unique_ptr<sim::QueryGenerator> gen,
                          sim::MakeGenerator(cr.qspec, gen_ctx));
     sim::WorkloadOptions options;
-    options.threads = spec.run.threads;
+    options.workers = rtree::DefaultSearchWorkers();
     options.base_seed = spec.run.seed + c * kClassSeedStride;
     options.warmup = c == 0 ? spec.workload.warmup : 0;
     options.queries = cls.count;
@@ -453,17 +454,6 @@ report::JsonDict RunReport::ToJsonDict() const {
                          cr.predicted.effective_hit_rate);
       }
       c.PutDict("predicted", predicted);
-    }
-    if (cr.run.per_worker.size() > 1) {
-      std::vector<report::JsonDict> workers;
-      for (size_t w = 0; w < cr.run.per_worker.size(); ++w) {
-        report::JsonDict wd;
-        wd.PutInt("worker", w);
-        wd.PutInt("queries", cr.run.per_worker[w].queries);
-        wd.PutInt("node_accesses", cr.run.per_worker[w].node_accesses);
-        workers.push_back(std::move(wd));
-      }
-      c.PutDictArray("per_worker", workers);
     }
     class_dicts.push_back(std::move(c));
   }

@@ -5,11 +5,12 @@
 // for the same spec so measured and predicted disk accesses land in a
 // single report.
 //
-// Serial specs (threads == 1, shards == 0) run the paper's bit-reproducible
-// configuration: the counters in the report are byte-identical to a hand
-//-written serial RunWorkload over the same tree and seed (pinned by
-// tests/engine_test.cc). Parallel specs keep per-worker determinism via RNG
-// substreams.
+// Specs with pool.shards == 0 run the paper's bit-reproducible serial
+// pool: the counters in the report are byte-identical to a hand-written
+// serial RunWorkload over the same tree and seed (pinned by
+// tests/engine_test.cc). pool.shards > 0 selects the lock-striped pool,
+// over whose shards a batched run splits each tree level; its counters do
+// not depend on the machine's core count.
 //
 //   auto spec = ExperimentSpec::FromJsonFile("spec.json");
 //   auto report = engine::Run(*spec);

@@ -236,10 +236,13 @@ Status ParseRun(const JsonValue& v, RunSpec* out) {
   if (!v.is_object()) return Bad("run must be an object");
   for (const auto& [key, value] : v.members()) {
     if (key == "threads") {
+      // Retired, but perfbench's specs still write the serial value 1.
       uint64_t threads = 0;
       RTB_RETURN_IF_ERROR(GetUint(value, "run.threads", &threads));
-      if (threads > UINT32_MAX) return Bad("run.threads out of range");
-      out->threads = static_cast<uint32_t>(threads);
+      if (threads != 1) {
+        return Bad("run.threads was removed; batched runs on a sharded "
+                   "pool (pool.shards > 0) use the shard split");
+      }
     } else if (key == "seed") {
       RTB_RETURN_IF_ERROR(GetUint(value, "run.seed", &out->seed));
     } else if (key == "evaluate_model") {
@@ -392,9 +395,6 @@ Status ExperimentSpec::Validate() const {
         return Bad(ctx + " mixes updates, which requires a dataset-built "
                    "tree (tree.index must be empty)");
       }
-      if (run.threads != 1) {
-        return Bad(ctx + " mixes updates, which requires run.threads == 1");
-      }
     }
     if (sim::GeneratorNeedsCenters(cls.query.center) && !tree.index.empty() &&
         dataset.path.empty()) {
@@ -404,7 +404,6 @@ Status ExperimentSpec::Validate() const {
                  "dataset.path to the rectangle file");
     }
   }
-  if (run.threads == 0) return Bad("run.threads must be >= 1");
   return Status::OK();
 }
 
@@ -487,7 +486,6 @@ report::JsonDict ExperimentSpec::ToJsonDict() const {
   doc.PutDict("workload", wl);
 
   report::JsonDict rn;
-  rn.PutInt("threads", run.threads);
   rn.PutInt("seed", run.seed);
   rn.PutBool("evaluate_model", run.evaluate_model);
   doc.PutDict("run", rn);

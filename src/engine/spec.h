@@ -1,8 +1,8 @@
 // Declarative experiment description for the engine (engine/engine.h).
 //
 // An ExperimentSpec captures everything one paper-style experiment needs —
-// data set, tree construction, buffer pool, pinning, query workload, thread
-// count and seeds — as one value that can be parsed from a JSON file
+// data set, tree construction, buffer pool, pinning, query workload and
+// seeds — as one value that can be parsed from a JSON file
 // (`rtb_cli run spec.json`) or built directly in C++ (benches, tests).
 // The same spec drives both the measured run and the analytic cost model,
 // so measured-vs-predicted comparisons always describe the same
@@ -27,7 +27,7 @@
 //          "hotspots": 16, "spread": 0.05, "skew": 1.0, "count": 100000}
 //       ]
 //     },
-//     "run": {"threads": 1, "seed": 1, "evaluate_model": true}
+//     "run": {"seed": 1, "evaluate_model": true}
 //   }
 //
 // Unknown keys anywhere in the document are rejected: a typoed field must
@@ -91,13 +91,14 @@ struct StorageSpec {
   WalSpec wal;
 };
 
-/// Buffer pool configuration. `shards == 0` with `threads == 1` selects the
-/// paper's serial pool (bit-reproducible); anything else the lock-striped
-/// pool.
+/// Buffer pool configuration. `shards == 0` selects the paper's serial
+/// pool (globally ordered replacement, bit-reproducible); `shards > 0` the
+/// lock-striped ShardedBufferPool, whose replacement runs per shard and
+/// over whose shards a batched run splits each tree level.
 struct PoolSpec {
   uint64_t buffer_pages = 100;
   std::string policy = "LRU";  // LRU|FIFO|CLOCK|LFU|RANDOM|LRU2
-  uint64_t shards = 0;         // Lock stripes; 0 = serial pool / auto.
+  uint64_t shards = 0;         // Lock stripes; 0 = the serial pool.
   uint16_t pinned_levels = 0;  // Top tree levels pinned in the pool.
 };
 
@@ -115,9 +116,9 @@ struct QueryClassSpec {
   /// present entry with probability delete_frac, and a search otherwise
   /// (sim::WorkloadOptions for the exact stream contract). Both 0 (the
   /// default) is a pure query class. Mixed classes mutate the tree, so
-  /// they require a dataset-built tree (no tree.index), run.threads == 1
-  /// and no shared frontier; the engine flushes the pool and structurally
-  /// validates the tree after each mixed class's measured phase.
+  /// they require a dataset-built tree (no tree.index); the engine flushes
+  /// the pool and structurally validates the tree after each mixed class's
+  /// measured phase.
   double insert_frac = 0.0;
   double delete_frac = 0.0;
 
@@ -147,10 +148,10 @@ struct WorkloadSpec {
   }
 };
 
-/// Execution parameters.
+/// Execution parameters. The retired key run.threads still parses with
+/// the value 1 (see ParseRun).
 struct RunSpec {
-  uint32_t threads = 1;
-  uint64_t seed = 1;           // Worker w of class c uses a substream of it.
+  uint64_t seed = 1;           // Class c draws from a stream seeded by it.
   bool evaluate_model = true;  // Also compute the analytic prediction.
 };
 
@@ -172,8 +173,7 @@ struct ExperimentSpec {
   static Result<ExperimentSpec> FromJsonFile(const std::string& path);
 
   /// Semantic checks beyond JSON shape: enum strings resolve, extents are
-  /// in [0, 1), at least one query class with count > 0, threads >= 1,
-  /// data-driven classes have a centers source, ...
+  /// in [0, 1), at least one query class with count > 0, data-driven classes have a centers source, ...
   Status Validate() const;
 
   /// The spec as a JSON object (round-trips through FromJson).

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <thread>
 
 #include "rtree/knn.h"
 #include "util/macros.h"
@@ -57,10 +56,6 @@ double Percentile(const uint64_t* hist, size_t buckets, uint64_t total,
 }
 
 }  // namespace
-
-size_t ServerOptions::DefaultSearchWorkers() {
-  return std::clamp<size_t>(std::thread::hardware_concurrency(), 1, 4);
-}
 
 Server::Server(ServingStack* stack, ServerOptions options)
     : stack_(stack), options_(options) {

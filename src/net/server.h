@@ -80,10 +80,7 @@ struct ServerOptions {
   int backlog = 256;
   /// Threads each search drain's tree levels run on (the serving thread plus
   /// search_workers - 1 helpers; clamped to the pool's shard count).
-  size_t search_workers = DefaultSearchWorkers();
-
-  /// min(4, hardware threads), at least 1.
-  static size_t DefaultSearchWorkers();
+  size_t search_workers = rtree::DefaultSearchWorkers();
 };
 
 /// p50/p99 request latency from a log-scale microsecond histogram

@@ -27,6 +27,10 @@ constexpr size_t kMinParallelRuns = 32;
 
 }  // namespace
 
+size_t DefaultSearchWorkers() {
+  return std::clamp<size_t>(std::thread::hardware_concurrency(), 1, 4);
+}
+
 BatchExecutor::BatchExecutor(const RTree* tree, size_t workers)
     : tree_(tree) {
   RTB_CHECK(tree_ != nullptr);

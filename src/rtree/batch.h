@@ -80,6 +80,11 @@ struct BatchStats {
   uint64_t page_visits = 0;
 };
 
+/// The worker count the server and the experiment engine hand to a
+/// BatchExecutor: min(4, hardware threads), at least 1. The executor then
+/// clamps it to the pool's shard count.
+size_t DefaultSearchWorkers();
+
 /// Executes batches of region queries against one tree. Holds reusable
 /// frontier and gather scratch and its own helper threads; the executor
 /// itself is not thread-safe (one Run at a time). The underlying pool must

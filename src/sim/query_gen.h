@@ -16,8 +16,8 @@
 // center-source name, so new center sources plug in without touching this
 // file. All generators are immutable after construction: Next() reads only
 // the caller's Rng, so one generator instance is safely shared across
-// worker threads, each drawing from its own substream — which is what
-// makes worker streams byte-identical regardless of thread count.
+// threads, each with its own Rng, and each thread draws exactly the stream
+// it would draw alone.
 //
 // Center-set lifetime: generators that sample data centers share ownership
 // of the vector (shared_ptr), so a spec-built generator cannot dangle when

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "rtree/batch.h"
@@ -13,23 +11,27 @@ namespace rtb::sim {
 
 namespace {
 
-// Queries assigned to worker `w` out of `total` split over `threads`.
-uint64_t SliceSize(uint64_t total, uint32_t threads, uint32_t w) {
-  return total / threads + (w < total % threads ? 1 : 0);
-}
+// Runs `phase(options.warmup, nullptr)`, snapshots the store's read
+// counter, then runs `phase(options.queries, &result)`; the measured
+// phase's store reads are the run's disk accesses.
+template <typename Phase>
+Result<WorkloadResult> Measure(storage::PageStore* store,
+                               const WorkloadOptions& options, Phase&& phase) {
+  WorkloadResult result;
+  const auto warmup_start = std::chrono::steady_clock::now();
+  RTB_RETURN_IF_ERROR(phase(options.warmup, nullptr));
+  const uint64_t reads_before = store->stats().reads;
+  const auto start = std::chrono::steady_clock::now();
+  result.warmup_seconds =
+      std::chrono::duration<double>(start - warmup_start).count();
 
-// Runs `fn(w)` on `threads` workers and joins. Worker 0 runs on the calling
-// thread, so a single-threaded run never leaves the caller's thread and is
-// instruction-identical to a plain loop.
-template <typename Fn>
-void FanOut(uint32_t threads, Fn&& fn) {
-  std::vector<std::thread> pool;
-  pool.reserve(threads > 0 ? threads - 1 : 0);
-  for (uint32_t w = 1; w < threads; ++w) {
-    pool.emplace_back([&fn, w] { fn(w); });
-  }
-  fn(0);
-  for (std::thread& t : pool) t.join();
+  RTB_RETURN_IF_ERROR(phase(options.queries, &result));
+  const auto end = std::chrono::steady_clock::now();
+  result.elapsed_seconds =
+      std::chrono::duration<double>(end - start).count();
+  result.queries = options.queries;
+  result.disk_accesses = store->stats().reads - reads_before;
+  return result;
 }
 
 // The mixed insert/delete/search stream (options.insert_frac /
@@ -143,69 +145,35 @@ Result<WorkloadResult> ExecuteMixed(rtree::RTree* tree,
     return Status::OK();
   };
 
-  WorkloadResult result;
-  result.per_worker.assign(1, WorkerResult{});
-
-  const auto warmup_start = std::chrono::steady_clock::now();
-  RTB_RETURN_IF_ERROR(run_phase(options.warmup, nullptr));
-  const uint64_t reads_before = store->stats().reads;
-  const auto start = std::chrono::steady_clock::now();
-  result.warmup_seconds =
-      std::chrono::duration<double>(start - warmup_start).count();
-
-  RTB_RETURN_IF_ERROR(run_phase(options.queries, &result));
-  const auto end = std::chrono::steady_clock::now();
-  result.elapsed_seconds =
-      std::chrono::duration<double>(end - start).count();
-  result.queries = options.queries;
-  result.per_worker[0].queries = options.queries;
-  result.per_worker[0].node_accesses = result.node_accesses;
-  result.disk_accesses = store->stats().reads - reads_before;
-  return result;
+  return Measure(store, options, run_phase);
 }
 
-// The pure-query executor: worker w draws its slice of each phase from its
-// own substream Rng(base_seed + w), kept across the warm-up and measured
-// phases.
+// The pure-query stream. batch_size <= 1 keeps the historical per-query
+// loop verbatim; larger batches route through the level-synchronous
+// executor, a fresh one per phase so the measured phase's elevator sweep
+// starts ascending whatever the warm-up's batch count. Query order is the
+// same in both modes (the generators consume a fixed number of draws per
+// query).
 Result<WorkloadResult> ExecuteWorkload(rtree::RTree* tree,
                                        storage::PageStore* store,
-                                       QueryGenerator* gen,
+                                       QueryGenerator* gen, Rng* rng,
                                        const WorkloadOptions& options) {
-  RTB_CHECK(tree != nullptr && store != nullptr && gen != nullptr);
-  const uint32_t threads = options.threads;
+  RTB_CHECK(tree != nullptr && store != nullptr && gen != nullptr &&
+            rng != nullptr);
   const uint64_t batch_size = options.batch_size;
-  std::vector<Rng> rngs;
-  rngs.reserve(threads);
-  for (uint32_t w = 0; w < threads; ++w) {
-    rngs.emplace_back(options.base_seed + w);
-  }
-
-  std::vector<Status> statuses(threads, Status::OK());
-  WorkloadResult result;
-  result.per_worker.assign(threads, WorkerResult{});
-
-  // Worker w's slice of a phase: its share of `total` queries drawn from
-  // its RNG stream, in the same order in every mode (the generators consume
-  // a fixed number of draws per query). batch_size <= 1 keeps the
-  // historical per-query loop verbatim; larger batches route through the
-  // level-synchronous executor with a private frontier per worker.
-  // Node-access counts go to *nodes when non-null (the measured phase).
-  auto run_slice = [&](uint32_t w, uint64_t total, uint64_t* nodes)
-      -> Status {
-    const uint64_t n = SliceSize(total, threads, w);
+  auto run_phase = [&](uint64_t n, WorkloadResult* counters) -> Status {
     if (batch_size <= 1) {
       std::vector<rtree::ObjectId> sink;
       rtree::QueryStats stats;
-      rtree::QueryStats* stats_arg = nodes != nullptr ? &stats : nullptr;
+      rtree::QueryStats* stats_arg = counters != nullptr ? &stats : nullptr;
       for (uint64_t i = 0; i < n; ++i) {
         sink.clear();
-        RTB_RETURN_IF_ERROR(tree->Search(gen->Next(rngs[w]), &sink,
-                                         stats_arg));
+        RTB_RETURN_IF_ERROR(tree->Search(gen->Next(*rng), &sink, stats_arg));
       }
-      if (nodes != nullptr) *nodes = stats.nodes_accessed;
+      if (counters != nullptr) counters->node_accesses = stats.nodes_accessed;
       return Status::OK();
     }
-    rtree::BatchExecutor executor(tree);
+    rtree::BatchExecutor executor(tree, options.workers);
     rtree::BatchStats stats;
     std::vector<geom::Rect> batch;
     std::vector<std::vector<rtree::ObjectId>> results;
@@ -213,56 +181,14 @@ Result<WorkloadResult> ExecuteWorkload(rtree::RTree* tree,
     for (uint64_t done = 0; done < n;) {
       const uint64_t k = std::min<uint64_t>(batch_size, n - done);
       batch.clear();
-      for (uint64_t i = 0; i < k; ++i) batch.push_back(gen->Next(rngs[w]));
+      for (uint64_t i = 0; i < k; ++i) batch.push_back(gen->Next(*rng));
       RTB_RETURN_IF_ERROR(executor.Run(batch, &results, &stats));
       done += k;
     }
-    if (nodes != nullptr) *nodes = stats.node_accesses;
+    if (counters != nullptr) counters->node_accesses = stats.node_accesses;
     return Status::OK();
   };
-
-  // Phase 1: warm-up (not measured).
-  const auto warmup_start = std::chrono::steady_clock::now();
-  FanOut(threads, [&](uint32_t w) {
-    Status s = run_slice(w, options.warmup, nullptr);
-    if (!s.ok()) statuses[w] = std::move(s);
-  });
-  for (Status& s : statuses) {
-    RTB_RETURN_IF_ERROR(std::move(s));
-    s = Status::OK();
-  }
-
-  // The join above is the barrier: every warm-up query's disk reads are in
-  // the counter before the snapshot.
-  const uint64_t reads_before = store->stats().reads;
-  const auto start = std::chrono::steady_clock::now();
-  result.warmup_seconds =
-      std::chrono::duration<double>(start - warmup_start).count();
-
-  // Phase 2: measured queries.
-  FanOut(threads, [&](uint32_t w) {
-    uint64_t nodes = 0;
-    Status s = run_slice(w, options.queries, &nodes);
-    if (!s.ok()) {
-      statuses[w] = std::move(s);
-      return;
-    }
-    result.per_worker[w].queries = SliceSize(options.queries, threads, w);
-    result.per_worker[w].node_accesses = nodes;
-  });
-  for (Status& s : statuses) {
-    RTB_RETURN_IF_ERROR(std::move(s));
-  }
-
-  const auto end = std::chrono::steady_clock::now();
-  result.elapsed_seconds =
-      std::chrono::duration<double>(end - start).count();
-  for (const WorkerResult& w : result.per_worker) {
-    result.queries += w.queries;
-    result.node_accesses += w.node_accesses;
-  }
-  result.disk_accesses = store->stats().reads - reads_before;
-  return result;
+  return Measure(store, options, run_phase);
 }
 
 }  // namespace
@@ -283,18 +209,11 @@ Result<WorkloadResult> RunWorkload(rtree::RTree* tree,
                                    storage::PageStore* store,
                                    QueryGenerator* gen,
                                    const WorkloadOptions& options) {
-  if (options.threads == 0) {
-    return Status::InvalidArgument("threads must be >= 1");
-  }
+  Rng rng(options.base_seed);
   if (options.insert_frac > 0.0 || options.delete_frac > 0.0) {
-    if (options.threads != 1) {
-      return Status::InvalidArgument(
-          "mixed update workloads require threads == 1");
-    }
-    Rng rng(options.base_seed);
     return ExecuteMixed(tree, store, gen, &rng, options);
   }
-  return ExecuteWorkload(tree, store, gen, options);
+  return ExecuteWorkload(tree, store, gen, &rng, options);
 }
 
 }  // namespace rtb::sim

@@ -4,26 +4,21 @@
 // analytical model only covers LRU), and as the single execution path of
 // the experiment engine (engine/engine.h).
 //
-// One executor serves every configuration:
+// A run is one query stream drawn from Rng(base_seed): batch_size <= 1
+// executes it one query at a time on the calling thread, the exact
+// instruction sequence of the historical serial runner, so its counters
+// are byte-identical to every result published before; larger batches go
+// through rtree::BatchExecutor, whose `workers` split each level by buffer
+// shard without changing any counter.
 //
-//   * threads == 1 runs the paper's serial query stream on the calling
-//     thread — the exact instruction sequence (same RNG stream, same query
-//     order) of the historical serial runner, so its counters are
-//     byte-identical to every result published before the unification.
-//   * threads > 1 fans the stream out over worker threads; worker w draws
-//     its queries from an independent RNG substream seeded base_seed + w,
-//     so a run is a pure function of (tree, options) regardless of thread
-//     scheduling. The tree's page cache must then be internally
-//     synchronized (ShardedBufferPool).
-//
-// Phases: all workers first run their slice of the warm-up queries; after a
-// join barrier the store's read counter is snapshotted; then all workers
-// run their measured slice. Disk accesses are the store-read delta across
-// the measured phase.
+// Phases: the warm-up queries run first, then the store's read counter is
+// snapshotted and the measured queries run. Disk accesses are the
+// store-read delta across the measured phase.
 
 #ifndef RTB_SIM_RUNNER_H_
 #define RTB_SIM_RUNNER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -35,16 +30,8 @@
 
 namespace rtb::sim {
 
-/// Logical counters of one worker's slice of a run. Disk accesses are only
-/// meaningful in the reduced WorkloadResult view: the page cache is shared,
-/// so misses cannot be attributed to a single worker.
-struct WorkerResult {
-  uint64_t queries = 0;
-  uint64_t node_accesses = 0;
-};
-
-/// Results of an end-to-end run — the one result type shared by the serial
-/// path, the parallel path and the experiment engine.
+/// Results of an end-to-end run — the one result type shared by the
+/// serial path, the batched path and the experiment engine.
 struct WorkloadResult {
   uint64_t queries = 0;        // All operations (searches + updates).
   uint64_t disk_accesses = 0;  // Store reads during the measured phase.
@@ -57,9 +44,6 @@ struct WorkloadResult {
   uint64_t deletes = 0;
   double warmup_seconds = 0.0;   // Wall time of the warm-up phase.
   double elapsed_seconds = 0.0;  // Wall time of the measured phase.
-  /// Per-worker breakdown; one entry per worker (a single entry for serial
-  /// runs).
-  std::vector<WorkerResult> per_worker;
 
   double MeanDiskAccesses() const {
     return queries == 0 ? 0.0
@@ -80,10 +64,9 @@ struct WorkloadResult {
 
 /// Configuration for a run.
 struct WorkloadOptions {
-  uint32_t threads = 1;    // Worker count; 1 is the paper's serial stream.
-  uint64_t base_seed = 1;  // Worker w uses Rng(base_seed + w).
-  uint64_t warmup = 0;     // Warm-up queries, split across workers.
-  uint64_t queries = 0;    // Measured queries, split across workers.
+  uint64_t base_seed = 1;  // Every query is drawn from Rng(base_seed).
+  uint64_t warmup = 0;     // Warm-up queries (not measured).
+  uint64_t queries = 0;    // Measured queries.
   /// Queries executed together through rtree::BatchExecutor (level-
   /// synchronous, page-ordered traversal). <= 1 runs the classic serial
   /// per-query loop — the exact instruction sequence of the historical
@@ -91,6 +74,11 @@ struct WorkloadOptions {
   /// is identical in both modes (the generators draw a fixed number of RNG
   /// values per query), so a batched run sees the same query stream.
   uint64_t batch_size = 1;
+  /// Threads a batched run's rtree::BatchExecutor splits each tree level
+  /// over, by buffer shard (clamped to the pool's shard count, so 1 on the
+  /// serial BufferPool). Only wall time depends on it: every counter is
+  /// the same for any value. > 1 needs an internally synchronized pool.
+  size_t workers = 1;
   /// Mixed insert/delete/search workload. Each operation first draws its
   /// rectangle from the generator, then a uniform double u classifies it:
   /// u < insert_frac inserts the rectangle with a fresh id;
@@ -98,8 +86,8 @@ struct WorkloadOptions {
   /// the present-entry ledger (degrading to an insert while the ledger is
   /// empty); otherwise it is a search. Both fractions 0 (the default) is
   /// the pure query workload, whose RNG stream and counters are unchanged.
-  /// Mixed runs mutate the tree, so they require threads == 1; searches
-  /// then run through the classic serial loop regardless of batch_size.
+  /// Mixed runs execute their searches through the classic serial loop
+  /// regardless of batch_size and workers.
   double insert_frac = 0.0;
   double delete_frac = 0.0;
   /// Updates buffered per rtree::UpdateBatchExecutor batch (group-by-leaf
@@ -125,12 +113,8 @@ Status PinTopLevels(storage::PageCache* pool,
                     const rtree::TreeSummary& summary, uint16_t levels);
 
 /// Runs `options.warmup + options.queries` queries from `gen` against
-/// `tree`, fanned out over `options.threads` workers; only the measured
-/// phase is counted. The generator must be stateless across Next() calls
-/// (all generators in query_gen.h are); the tree's page cache must be
-/// thread-safe when threads > 1. Queries are split evenly; worker w
-/// executes ceil-or-floor(queries / threads) of them with its own RNG
-/// substream. Disk accesses are taken from the tree's page store counters.
+/// `tree`; only the measured phase is counted. Disk accesses are taken
+/// from the tree's page store counters.
 Result<WorkloadResult> RunWorkload(rtree::RTree* tree,
                                    storage::PageStore* store,
                                    QueryGenerator* gen,

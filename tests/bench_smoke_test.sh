@@ -10,8 +10,8 @@ WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
 JSON="$WORK/report.json"
-"$BENCH" --points=2000 --queries=200 --warmup=50 --threads=2 \
-    --json="$JSON" > "$WORK/stdout.txt"
+"$BENCH" --points=2000 --queries=200 --warmup=50 --json="$JSON" \
+    > "$WORK/stdout.txt"
 test -s "$JSON"
 
 # The human-readable table went to stdout.
@@ -24,12 +24,11 @@ grep -q '"points": 2000' "$JSON"
 grep -q '"tree_pages": ' "$JSON"
 grep -q '"configs": \[' "$JSON"
 
-# All four serial configs plus the threaded one are present.
+# All four serial configs are present.
 grep -q '"config": "point_resident_serial"' "$JSON"
 grep -q '"config": "region_resident_serial"' "$JSON"
 grep -q '"config": "point_buffered_serial"' "$JSON"
 grep -q '"config": "region_buffered_serial"' "$JSON"
-grep -q '"config": "point_resident_threads2"' "$JSON"
 
 # Every serial config carries the live and baseline metrics the perf
 # trajectory compares across PRs.
@@ -43,7 +42,7 @@ done
 python3 - "$JSON" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-serial = [c for c in doc["configs"] if c["threads"] == 1]
+serial = doc["configs"]
 assert len(serial) == 4, serial
 for c in serial:
     assert isinstance(c["speedup_vs_baseline"], (int, float)), c

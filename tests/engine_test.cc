@@ -45,7 +45,6 @@ ExperimentSpec BaseSpec() {
   cls.query.center = "uniform";
   cls.count = 10000;
   spec.workload.classes.push_back(cls);
-  spec.run.threads = 1;
   spec.run.seed = kQuerySeed;
   return spec;
 }
@@ -63,7 +62,6 @@ TEST(SpecTest, JsonRoundTrip) {
   region.count = 500;
   spec.workload.classes.push_back(region);
   spec.workload.batch_size = 64;
-  spec.run.threads = 2;
   spec.run.evaluate_model = false;
 
   spec.storage.backend = "file";
@@ -91,7 +89,6 @@ TEST(SpecTest, JsonRoundTrip) {
   EXPECT_DOUBLE_EQ(parsed->workload.classes[1].query.x.length, 0.01);
   EXPECT_DOUBLE_EQ(parsed->workload.classes[1].query.y.length, 0.02);
   EXPECT_EQ(parsed->workload.classes[1].count, 500u);
-  EXPECT_EQ(parsed->run.threads, 2u);
   EXPECT_EQ(parsed->run.seed, spec.run.seed);
   EXPECT_FALSE(parsed->run.evaluate_model);
 }
@@ -108,8 +105,23 @@ TEST(SpecTest, MissingFieldsKeepDefaults) {
   EXPECT_EQ(spec->workload.classes[0].count, 100000u);
   EXPECT_EQ(spec->workload.batch_size, 1u);
   EXPECT_EQ(spec->storage.backend, "mem");
-  EXPECT_EQ(spec->run.threads, 1u);
   EXPECT_TRUE(spec->run.evaluate_model);
+}
+
+TEST(SpecTest, RetiredThreadsKeyParsesOnlyAsOne) {
+  // Specs written before run.threads was retired still carry the serial
+  // value; it parses and is not written back.
+  auto one = ExperimentSpec::FromJson(
+      R"({"workload": {"classes": [{}]}, "run": {"threads": 1}})");
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(one->ToJsonDict().ToString().find("threads"), std::string::npos);
+
+  auto two = ExperimentSpec::FromJson(
+      R"({"workload": {"classes": [{}]}, "run": {"threads": 2}})");
+  ASSERT_FALSE(two.ok());
+  EXPECT_NE(two.status().message().find("run.threads was removed"),
+            std::string::npos)
+      << two.status().ToString();
 }
 
 TEST(SpecTest, MalformedDocumentsReturnStatusNotCrash) {
@@ -178,9 +190,6 @@ TEST(SpecTest, ValidateRejectsSemanticErrors) {
   EXPECT_FALSE(spec.Validate().ok());
   spec = BaseSpec();
   spec.workload.classes[0].query.y = model::AxisExtent::Fixed(-0.1);
-  EXPECT_FALSE(spec.Validate().ok());
-  spec = BaseSpec();
-  spec.run.threads = 0;
   EXPECT_FALSE(spec.Validate().ok());
   spec = BaseSpec();
   spec.pool.buffer_pages = 0;
@@ -339,18 +348,24 @@ TEST(EngineTest, DataDrivenClassUsesBuiltDataCenters) {
   EXPECT_TRUE(report->classes[0].model_evaluated);
 }
 
-TEST(EngineTest, ParallelRunEmitsPerWorkerBreakdown) {
+TEST(EngineTest, ShardedBatchedRunIsReproducible) {
+  // A batched run on a 4-shard pool splits each level over the machine's
+  // cores by shard; each shard still sees one access order, so two
+  // invocations report the same disk accesses.
   ExperimentSpec spec = BaseSpec();
-  spec.run.threads = 2;
-  spec.pool.shards = 2;
-  spec.workload.classes[0].count = 2000;
-  spec.workload.warmup = 500;
-  auto report = engine::Run(spec);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_EQ(report->classes[0].run.per_worker.size(), 2u);
-  EXPECT_EQ(report->classes[0].run.per_worker[0].queries +
-                report->classes[0].run.per_worker[1].queries,
-            2000u);
+  spec.pool.shards = 4;
+  spec.workload.batch_size = 256;
+  spec.workload.classes[0].count = 4000;
+  spec.workload.warmup = 512;
+  auto a = engine::Run(spec);
+  auto b = engine::Run(spec);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(a->classes[0].run.queries, 4000u);
+  EXPECT_GT(a->classes[0].run.disk_accesses, 0u);
+  EXPECT_EQ(a->classes[0].run.disk_accesses, b->classes[0].run.disk_accesses);
+  EXPECT_EQ(a->classes[0].run.node_accesses, b->classes[0].run.node_accesses);
+  EXPECT_EQ(a->buffer.misses, b->buffer.misses);
 }
 
 TEST(EngineTest, FileBackendBuildsOnDiskAndCountsBatches) {
@@ -461,9 +476,6 @@ TEST(SpecTest, MixedWorkloadRoundTripAndValidation) {
   EXPECT_FALSE(spec.Validate().ok());
   spec = MixedSpec();
   spec.tree.index = "some.idx";
-  EXPECT_FALSE(spec.Validate().ok());
-  spec = MixedSpec();
-  spec.run.threads = 4;
   EXPECT_FALSE(spec.Validate().ok());
 }
 

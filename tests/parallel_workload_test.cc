@@ -1,11 +1,13 @@
-// Tests for the parallel path of the unified workload runner: threads == 1
-// must be byte-identical to the serial stream, query slices must cover the
-// stream exactly, and multi-threaded runs against a ShardedBufferPool must
-// produce a balanced ledger. The multi-threaded cases also serve as
-// data-race probes under -DRTB_SANITIZE=thread.
+// Tests for the workload runner's worker count: one worker must be
+// byte-identical to the serial stream, and a batched run on a sharded pool
+// must report the same counters whatever its executor's worker count. The
+// batch-256 cases split each level over helper threads, so they also serve
+// as data-race probes under -DRTB_SANITIZE=thread.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,7 +81,43 @@ WorkloadResult SerialLoop(rtree::RTree* tree, storage::PageStore* store,
   return r;
 }
 
-TEST(ParallelWorkloadTest, OneThreadIsByteIdenticalToSerialRunner) {
+// A batch-256 run at `workers` on a fresh 4-shard, 50-frame LRU pool. At
+// that batch size the leaf level has more than the executor's 32-run
+// inline threshold, so workers > 1 really splits it over helper threads.
+struct ShardedRun {
+  WorkloadResult result;
+  storage::BufferStats buffer;
+};
+
+ShardedRun RunSharded(Fixture& f, size_t workers, uint64_t queries) {
+  auto pool = storage::ShardedBufferPool::MakeLru(f.store.get(), 50, 4);
+  rtree::RTree tree = f.OpenTree(pool.get());
+  UniformPointGenerator gen;
+  WorkloadOptions options;
+  options.base_seed = kSeed;
+  options.warmup = kWarmup;
+  options.queries = queries;
+  options.batch_size = 256;
+  options.workers = workers;
+  auto r = RunWorkload(&tree, f.store.get(), &gen, options);
+  EXPECT_TRUE(r.ok());
+  f.store->ResetStats();
+  return {std::move(*r), pool->AggregateStats()};
+}
+
+void ExpectSameCounters(const ShardedRun& a, const ShardedRun& b) {
+  EXPECT_EQ(a.result.queries, b.result.queries);
+  EXPECT_EQ(a.result.disk_accesses, b.result.disk_accesses);
+  EXPECT_EQ(a.result.node_accesses, b.result.node_accesses);
+  EXPECT_EQ(a.buffer.requests, b.buffer.requests);
+  EXPECT_EQ(a.buffer.hits, b.buffer.hits);
+  EXPECT_EQ(a.buffer.misses, b.buffer.misses);
+  EXPECT_EQ(a.buffer.evictions, b.buffer.evictions);
+  EXPECT_EQ(a.buffer.writebacks, b.buffer.writebacks);
+  EXPECT_EQ(a.buffer.spare_frames, b.buffer.spare_frames);
+}
+
+TEST(ParallelWorkloadTest, OneWorkerIsByteIdenticalToSerialRunner) {
   Fixture f = Fixture::Make(10000, kSeed);
   UniformPointGenerator gen;
 
@@ -90,22 +128,20 @@ TEST(ParallelWorkloadTest, OneThreadIsByteIdenticalToSerialRunner) {
   storage::BufferStats serial_stats = serial_pool->AggregateStats();
   f.store->ResetStats();
 
-  // Parallel runner, one worker, same pool type, same seed.
+  // The runner, one worker, same pool type, same seed.
   auto pool = storage::BufferPool::MakeLru(f.store.get(), 50);
   rtree::RTree tree = f.OpenTree(pool.get());
   WorkloadOptions options;
-  options.threads = 1;
+  options.workers = 1;
   options.base_seed = kSeed;
   options.warmup = kWarmup;
   options.queries = kQueries;
-  auto parallel = RunWorkload(&tree, f.store.get(), &gen, options);
-  ASSERT_TRUE(parallel.ok());
+  auto run = RunWorkload(&tree, f.store.get(), &gen, options);
+  ASSERT_TRUE(run.ok());
 
-  EXPECT_EQ(parallel->queries, serial.queries);
-  EXPECT_EQ(parallel->disk_accesses, serial.disk_accesses);
-  EXPECT_EQ(parallel->node_accesses, serial.node_accesses);
-  ASSERT_EQ(parallel->per_worker.size(), 1u);
-  EXPECT_EQ(parallel->per_worker[0].node_accesses, serial.node_accesses);
+  EXPECT_EQ(run->queries, serial.queries);
+  EXPECT_EQ(run->disk_accesses, serial.disk_accesses);
+  EXPECT_EQ(run->node_accesses, serial.node_accesses);
   // The buffer pool saw the identical reference stream.
   storage::BufferStats stats = pool->AggregateStats();
   EXPECT_EQ(stats.requests, serial_stats.requests);
@@ -113,8 +149,8 @@ TEST(ParallelWorkloadTest, OneThreadIsByteIdenticalToSerialRunner) {
   EXPECT_EQ(stats.misses, serial_stats.misses);
 }
 
-TEST(ParallelWorkloadTest, OneThreadOnSingleShardPoolMatchesSerial) {
-  // threads == 1 over a one-shard ShardedBufferPool also reproduces the
+TEST(ParallelWorkloadTest, OneWorkerOnSingleShardPoolMatchesSerial) {
+  // One worker over a one-shard ShardedBufferPool also reproduces the
   // serial counts: the shard is a mutex around the same BufferPool logic.
   Fixture f = Fixture::Make(10000, kSeed);
   UniformPointGenerator gen;
@@ -127,104 +163,45 @@ TEST(ParallelWorkloadTest, OneThreadOnSingleShardPoolMatchesSerial) {
   auto pool = storage::ShardedBufferPool::MakeLru(f.store.get(), 50, 1);
   rtree::RTree tree = f.OpenTree(pool.get());
   WorkloadOptions options;
-  options.threads = 1;
+  options.workers = 1;
   options.base_seed = kSeed;
   options.warmup = kWarmup;
   options.queries = kQueries;
-  auto parallel = RunWorkload(&tree, f.store.get(), &gen, options);
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(parallel->queries, serial.queries);
-  EXPECT_EQ(parallel->disk_accesses, serial.disk_accesses);
-  EXPECT_EQ(parallel->node_accesses, serial.node_accesses);
+  auto run = RunWorkload(&tree, f.store.get(), &gen, options);
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run->queries, serial.queries);
+  EXPECT_EQ(run->disk_accesses, serial.disk_accesses);
+  EXPECT_EQ(run->node_accesses, serial.node_accesses);
 }
 
 TEST(ParallelWorkloadTest, RunsAreReproducibleAcrossInvocations) {
-  // A parallel run is a pure function of (tree, options): per-worker
-  // counters must be identical run-to-run even with 4 workers racing on the
-  // shared pool (disk totals can differ only through scheduling-dependent
-  // cache interleaving — per-worker node counts cannot).
+  // A batched run with 4 workers on a 4-shard pool is a pure function of
+  // (tree, options): every shard is walked by one worker in one order, so
+  // even the disk totals cannot depend on thread scheduling.
   Fixture f = Fixture::Make(10000, kSeed);
-  UniformPointGenerator gen;
-  auto run_once = [&f, &gen] {
-    auto pool = storage::ShardedBufferPool::MakeLru(f.store.get(), 50, 4);
-    rtree::RTree tree = f.OpenTree(pool.get());
-    WorkloadOptions options;
-    options.threads = 4;
-    options.base_seed = kSeed;
-    options.warmup = kWarmup;
-    options.queries = kQueries;
-    auto r = RunWorkload(&tree, f.store.get(), &gen, options);
-    EXPECT_TRUE(r.ok());
-    f.store->ResetStats();
-    return std::move(*r);
-  };
-  WorkloadResult a = run_once();
-  WorkloadResult b = run_once();
-  ASSERT_EQ(a.per_worker.size(), 4u);
-  ASSERT_EQ(b.per_worker.size(), 4u);
-  for (size_t w = 0; w < 4; ++w) {
-    EXPECT_EQ(a.per_worker[w].queries, b.per_worker[w].queries) << w;
-    EXPECT_EQ(a.per_worker[w].node_accesses, b.per_worker[w].node_accesses)
-        << w;
-  }
-  EXPECT_EQ(a.queries, kQueries);
-  EXPECT_EQ(a.node_accesses, b.node_accesses);
+  const ShardedRun a = RunSharded(f, 4, kQueries);
+  const ShardedRun b = RunSharded(f, 4, kQueries);
+  EXPECT_EQ(a.result.queries, kQueries);
+  EXPECT_GT(a.result.disk_accesses, 0u);
+  ExpectSameCounters(a, b);
 }
 
-TEST(ParallelWorkloadTest, QuerySlicesCoverStreamExactly) {
-  // Uneven splits: 10 queries over 4 workers -> slices 3,3,2,2.
-  Fixture f = Fixture::Make(2000, kSeed);
-  UniformPointGenerator gen;
-  auto pool = storage::ShardedBufferPool::MakeLru(f.store.get(), 20, 4);
-  rtree::RTree tree = f.OpenTree(pool.get());
-  WorkloadOptions options;
-  options.threads = 4;
-  options.base_seed = kSeed;
-  options.warmup = 3;
-  options.queries = 10;
-  auto r = RunWorkload(&tree, f.store.get(), &gen, options);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->per_worker.size(), 4u);
-  EXPECT_EQ(r->per_worker[0].queries, 3u);
-  EXPECT_EQ(r->per_worker[1].queries, 3u);
-  EXPECT_EQ(r->per_worker[2].queries, 2u);
-  EXPECT_EQ(r->per_worker[3].queries, 2u);
-  EXPECT_EQ(r->queries, 10u);
-}
-
-TEST(ParallelWorkloadTest, MultiThreadLedgerBalances) {
+TEST(ParallelWorkloadTest, WorkerCountLeavesCountersUnchanged) {
+  // Batch 256 on a 4-shard pool at 1, 2 and 4 workers: the worker count
+  // changes wall time only, never a reported counter.
   Fixture f = Fixture::Make(10000, kSeed);
-  UniformPointGenerator gen;
-  auto pool = storage::ShardedBufferPool::MakeLru(f.store.get(), 50, 8);
-  rtree::RTree tree = f.OpenTree(pool.get());
-  WorkloadOptions options;
-  options.threads = 8;
-  options.base_seed = kSeed;
-  options.warmup = kWarmup;
-  options.queries = kQueries;
-  auto r = RunWorkload(&tree, f.store.get(), &gen, options);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->queries, kQueries);
-  EXPECT_GT(r->node_accesses, 0u);
-  // Merged pool counters balance, and every miss is a store read (warm-up
-  // included on both sides of the equation).
-  storage::BufferStats stats = pool->AggregateStats();
-  EXPECT_EQ(stats.requests, stats.hits + stats.misses);
-  EXPECT_EQ(stats.misses, f.store->stats().reads);
-  // Reduced totals equal the per-worker sums.
-  uint64_t queries = 0, nodes = 0;
-  for (const WorkerResult& w : r->per_worker) {
-    queries += w.queries;
-    nodes += w.node_accesses;
+  const ShardedRun one = RunSharded(f, 1, kQueries);
+  EXPECT_EQ(one.buffer.requests, one.buffer.hits + one.buffer.misses);
+  for (size_t workers : {size_t{2}, size_t{4}}) {
+    SCOPED_TRACE(workers);
+    ExpectSameCounters(one, RunSharded(f, workers, kQueries));
   }
-  EXPECT_EQ(queries, r->queries);
-  EXPECT_EQ(nodes, r->node_accesses);
 }
 
-TEST(ParallelWorkloadTest, PinnedLevelsSurviveParallelTraffic) {
-  // PinTopLevels + parallel queries: the pinned root region must still be
-  // resident after a contended run (the fig10/fig11 pinning experiments
-  // depend on this invariant).
+TEST(ParallelWorkloadTest, PinnedLevelsSurviveBatchedTraffic) {
+  // PinTopLevels + a batched run split over 4 workers: the pinned root
+  // must still be resident afterwards (the fig10/fig11 pinning
+  // experiments depend on this invariant).
   Fixture f = Fixture::Make(10000, kSeed);
   auto pool = storage::ShardedBufferPool::MakeLru(f.store.get(), 50, 4);
   rtree::RTree tree = f.OpenTree(pool.get());
@@ -236,26 +213,15 @@ TEST(ParallelWorkloadTest, PinnedLevelsSurviveParallelTraffic) {
 
   UniformPointGenerator gen;
   WorkloadOptions options;
-  options.threads = 4;
   options.base_seed = kSeed;
   options.warmup = 500;
   options.queries = 5000;
+  options.batch_size = 256;
+  options.workers = 4;
   auto r = RunWorkload(&tree, f.store.get(), &gen, options);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(pool->Contains(f.built.root));
   EXPECT_EQ(pool->num_permanent_pins(), 1u);
-}
-
-TEST(ParallelWorkloadTest, RejectsZeroThreads) {
-  Fixture f = Fixture::Make(2000, kSeed);
-  auto pool = storage::ShardedBufferPool::MakeLru(f.store.get(), 20, 2);
-  rtree::RTree tree = f.OpenTree(pool.get());
-  UniformPointGenerator gen;
-  WorkloadOptions options;
-  options.threads = 0;
-  options.queries = 10;
-  auto r = RunWorkload(&tree, f.store.get(), &gen, options);
-  EXPECT_FALSE(r.ok());
 }
 
 }  // namespace

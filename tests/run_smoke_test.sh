@@ -22,7 +22,7 @@ cat > "$WORK/spec.json" <<'EOF'
        "count": 1000}
     ]
   },
-  "run": {"threads": 1, "seed": 9}
+  "run": {"seed": 9}
 }
 EOF
 

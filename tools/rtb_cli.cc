@@ -15,12 +15,12 @@
 //       Model-predicted disk accesses per query; --data switches to the
 //       data-driven query model using that file's rectangle centers.
 //   query     --index=FILE --buffer=B --queries=N [--qx --qy --seed]
-//             [--threads=T --shards=S]
+//             [--shards=S --batch=N]
 //       Actually execute a random query workload through an LRU buffer
 //       pool and report measured disk accesses next to the prediction.
-//       --threads=T fans the stream out over T workers on a lock-striped
-//       (sharded) pool and additionally reports throughput and hit rate;
-//       --threads=1 (default) is the paper's serial, bit-reproducible path.
+//       --shards=0 (default) is the paper's serial, bit-reproducible pool;
+//       --shards=S > 0 a lock-striped pool of S per-shard LRU lists, over
+//       whose shards a --batch=N run splits each tree level.
 //   run       <spec.json> [--out=FILE]
 //       Execute a declarative experiment spec (engine/spec.h) end to end —
 //       build or open the tree, pin levels, warm up, measure every query
@@ -387,23 +387,25 @@ int CmdPredict(int argc, char** argv) {
 constexpr char kQueryUsage[] =
     "usage: rtb_cli query --index=FILE --buffer=B --queries=N\n"
     "                     [--qx=QX --qy=QY --open=x|y --seed=S --warmup=W]\n"
-    "                     [--threads=T --shards=S --batch=N]\n"
+    "                     [--shards=S --batch=N]\n"
     "                     [--data=FILE --fanout=N]\n"
     "                     [--insert-frac=F --delete-frac=F "
     "--update-batch=N]\n"
     "  Execute a random query workload through a buffer pool and report\n"
-    "  measured disk accesses next to the model prediction. --threads=1\n"
-    "  (default) is the paper's serial, bit-reproducible path. --batch=N\n"
-    "  with N >= 2 executes N queries per level-synchronous batch (each\n"
-    "  distinct page fetched once per batch); --batch=1 (default) is the\n"
-    "  classic one-query-at-a-time loop. --open=x|y makes that axis of the\n"
+    "  measured disk accesses next to the model prediction. --shards=0\n"
+    "  (default) is the paper's serial, bit-reproducible pool; --shards=S\n"
+    "  stripes it into S per-shard LRU lists. --batch=N with N >= 2\n"
+    "  executes N queries per level-synchronous batch (each distinct page\n"
+    "  fetched once per batch; on a striped pool each level is split by\n"
+    "  shard over the cores); --batch=1 (default) is the classic\n"
+    "  one-query-at-a-time loop. --open=x|y makes that axis of the\n"
     "  query rectangle open (partial-match: only the other axis\n"
     "  constrains).\n"
     "  --data=FILE (instead of --index) bulk-loads the rectangle file into\n"
     "  an in-memory tree with --fanout. --insert-frac/--delete-frac turn\n"
     "  the stream into a mixed insert/delete/search workload (requires\n"
-    "  --data and --threads=1); --update-batch=N applies updates in\n"
-    "  group-by-leaf batches of N (1 = tuple-at-a-time Guttman updates).\n"
+    "  --data); --update-batch=N applies updates in group-by-leaf batches\n"
+    "  of N (1 = tuple-at-a-time Guttman updates).\n"
     "  --store=FILE backs the built tree with a FilePageStore at FILE;\n"
     "  --wal=1 adds a write-ahead log (STORE.wal) so every drained update\n"
     "  batch commits durably, with --wal-window=N commits per fdatasync\n"
@@ -418,7 +420,7 @@ int CmdQuery(int argc, char** argv) {
             {{"index", ""}, {"buffer", "100"}, {"queries", "100000"},
              {"qx", "0"}, {"qy", "0"}, {"open", ""},
              {"seed", "1"}, {"warmup", "10000"},
-             {"threads", "1"}, {"shards", "0"}, {"batch", "1"},
+             {"shards", "0"}, {"batch", "1"},
              {"data", ""},
              {"fanout", "100"}, {"insert-frac", "0"}, {"delete-frac", "0"},
              {"update-batch", "1"}, {"store", ""}, {"wal", "0"},
@@ -440,8 +442,6 @@ int CmdQuery(int argc, char** argv) {
   }
   spec.pool.buffer_pages = args.GetInt("buffer");
   spec.pool.shards = args.GetInt("shards");
-  spec.run.threads =
-      std::max<uint32_t>(1, static_cast<uint32_t>(args.GetInt("threads")));
   spec.run.seed = args.GetInt("seed");
   spec.workload.warmup = args.GetInt("warmup");
   spec.workload.batch_size =
@@ -478,9 +478,9 @@ int CmdQuery(int argc, char** argv) {
   std::printf("executed %llu queries (after %llu warm-up)\n",
               static_cast<unsigned long long>(report->total.queries),
               static_cast<unsigned long long>(spec.workload.warmup));
-  if (spec.run.threads > 1) {
-    std::printf("threads:   %u workers over a lock-striped pool\n",
-                spec.run.threads);
+  if (spec.pool.shards > 0) {
+    std::printf("shards:    %llu lock-striped shards\n",
+                static_cast<unsigned long long>(spec.pool.shards));
     std::printf("throughput: %.0f queries/s (measured phase, %.3f s)\n",
                 report->total.QueriesPerSecond(),
                 report->measure_seconds);
@@ -516,9 +516,9 @@ int CmdQuery(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     spec.storage.wal.group_commit_window));
   }
-  if (spec.run.threads > 1) {
+  if (spec.pool.shards > 0) {
     std::printf(
-        "note: with --threads>1 replacement is per-shard LRU; measured hit\n"
+        "note: with --shards>0 replacement is per-shard LRU; measured hit\n"
         "      rates can deviate slightly from the serial-stream model.\n");
   }
   return 0;

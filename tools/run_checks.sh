@@ -42,7 +42,8 @@
 # committed BENCH_*.json baselines with tools/bench_diff.py at 25%: single
 # runs of an unchanged binary have read -28% on a busy shared host, while a
 # structural regression (an extra copy on the hot path, -25%..-30%) shows
-# in every run.
+# in every run. All six benches run and report even when an earlier one
+# fails; the leg then exits non-zero naming every failed bench.
 #
 # The release tree (shared by the release, storage, update, durability and
 # workload legs) builds with -DRTB_WERROR=ON, so a new warning fails the
@@ -84,6 +85,9 @@ if wants release; then
   configure_and_build "$ROOT/build-checks/release" -DRTB_WERROR=ON
   (cd "$ROOT/build-checks/release" && ctest --output-on-failure)
   echo "==> bench diff vs committed baselines"
+  # Every bench runs and reports its diff; the leg fails after the last one
+  # if any bench crashed or missed its baseline.
+  failed=""
   for bench in micro_batch_query micro_partial_match micro_file_io \
                micro_update_batch micro_wal_commit micro_server_qps; do
     # micro_wal_commit and micro_server_qps run with real fsync suppressed
@@ -94,13 +98,27 @@ if wants release; then
       micro_wal_commit|micro_server_qps) env="RTB_NO_FSYNC=1" ;;
     esac
     out="$ROOT/build-checks/release/BENCH_$bench"
+    ran=1
     for i in 1 2 3; do
-      env $env "$ROOT/build-checks/release/bench/$bench" --json="$out.$i.json" \
-          > "$out.$i.log" 2>&1 || { cat "$out.$i.log"; exit 1; }
+      if ! env $env "$ROOT/build-checks/release/bench/$bench" \
+          --json="$out.$i.json" > "$out.$i.log" 2>&1; then
+        cat "$out.$i.log"
+        ran=0
+        break
+      fi
     done
-    python3 "$ROOT/tools/bench_diff.py" --threshold 0.25 \
-        "$ROOT/BENCH_$bench.json" "$out.1.json" "$out.2.json" "$out.3.json"
+    if [ "$ran" = 1 ] && python3 "$ROOT/tools/bench_diff.py" \
+        --threshold 0.25 "$ROOT/BENCH_$bench.json" \
+        "$out.1.json" "$out.2.json" "$out.3.json"; then
+      :
+    else
+      failed="$failed $bench"
+    fi
   done
+  if [ -n "$failed" ]; then
+    echo "bench diff failed:$failed" >&2
+    exit 1
+  fi
 fi
 
 if wants storage; then
