@@ -3,9 +3,10 @@
 //
 // The tree is bulk-loaded into a FilePageStore, so every pool miss is a
 // real positioned read against the file. The batch executor hands each
-// fetch window's miss set to the pool page-id-sorted; the serial pool
-// forwards it to FilePageStore::ReadBatch, which coalesces each run of
-// consecutive ids into one preadv. The bench reports:
+// fetch window's miss set to the pool; the serial pool sorts the misses by
+// page id and hands FilePageStore::ReadBatch one frame pointer per page,
+// and the store reads each run of consecutive ids with one preadv that
+// scatters straight into the frames. The bench reports:
 //
 //   * reads/query          — per-page read count (the paper's disk
 //                            accesses); the same however pages travel.

@@ -40,11 +40,14 @@ namespace rtb::net {
 class ServingStack {
  public:
   /// Frames per pool shard; a pool smaller than two shards' worth has one
-  /// shard, and a pool larger than 16 shards' worth has 16 larger ones. At
-  /// 64, the 256-frame serving pool has one shard per search worker; 32
-  /// (8 shards) was no faster, split more reads at shard boundaries and
-  /// let a shard run out of no-steal frames (EXPERIMENTS.md).
+  /// shard, and a pool larger than kMaxShards shards' worth has kMaxShards
+  /// larger ones. At 64, the 256-frame serving pool has one shard per
+  /// search worker; 32 (8 shards) was no faster, split more reads at shard
+  /// boundaries and let a shard run out of no-steal frames (EXPERIMENTS.md).
   static constexpr uint64_t kFramesPerShard = 64;
+  /// Shard cap: at 16 shards two concurrent fetches land on the same shard
+  /// less than ~6% of the time.
+  static constexpr uint64_t kMaxShards = 16;
 
   /// Materializes the spec. Serving ignores the workload section (queries
   /// come from the wire), so a spec with no query classes is accepted — a

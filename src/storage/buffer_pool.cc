@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -220,20 +219,9 @@ void BufferPool::DiscardAll() {
 }
 
 Status BufferPool::WritebackVictim(FrameId victim) {
-  FrameMeta& meta = frames_[victim];
-  if (!store_->CoalescesBatchWrites()) {
-    RTB_RETURN_IF_ERROR(WalBeforeWriteback(&victim, 1));
-    Status write = store_->Write(meta.page_id, FrameData(victim));
-    if (write.ok()) {
-      ++stats_.writebacks;
-      meta.dirty = false;
-    }
-    return write;
-  }
   // Grow a consecutive run of dirty, unpinned pages around the victim.
   // Group-by-leaf batches dirty page-id-adjacent leaves, so the run is
-  // often long; the bound keeps the staging copy small and the run within
-  // one pwritev at the store.
+  // often long; the bound keeps the run within one pwritev at the store.
   constexpr size_t kMaxWritebackCluster = 32;
   wb_frames_.clear();
   wb_frames_.push_back(victim);
@@ -241,8 +229,8 @@ Status BufferPool::WritebackVictim(FrameId victim) {
     const FrameMeta& m = frames_[f];
     return m.dirty && m.pin_count == 0 && !m.uncommitted;
   };
-  PageId lo = meta.page_id;
-  PageId hi = meta.page_id;
+  PageId lo = frames_[victim].page_id;
+  PageId hi = lo;
   while (wb_frames_.size() < kMaxWritebackCluster && lo > 0) {
     const FrameId f = page_table_.Find(lo - 1);
     if (f == PageTable::kNoFrame || !clusterable(f)) break;
@@ -256,26 +244,26 @@ Status BufferPool::WritebackVictim(FrameId victim) {
     wb_frames_.push_back(f);
     ++hi;
   }
+  return WriteBackFrames();
+}
+
+Status BufferPool::WriteBackFrames() {
   std::sort(wb_frames_.begin(), wb_frames_.end(),
             [this](FrameId a, FrameId b) {
               return frames_[a].page_id < frames_[b].page_id;
             });
   RTB_RETURN_IF_ERROR(
       WalBeforeWriteback(wb_frames_.data(), wb_frames_.size()));
-  const size_t stride = page_size();
-  if (wb_scratch_.size() < wb_frames_.size() * stride) {
-    wb_scratch_.resize(wb_frames_.size() * stride);
-  }
   wb_ids_.resize(wb_frames_.size());
+  wb_bufs_.resize(wb_frames_.size());
   for (size_t k = 0; k < wb_frames_.size(); ++k) {
     wb_ids_[k] = frames_[wb_frames_[k]].page_id;
-    std::memcpy(wb_scratch_.data() + k * stride, FrameData(wb_frames_[k]),
-                stride);
+    wb_bufs_[k] = FrameData(wb_frames_[k]);
   }
-  RTB_RETURN_IF_ERROR(store_->WriteBatch(wb_ids_.data(), wb_ids_.size(),
-                                         wb_scratch_.data()));
-  // Clean marks only land after the whole run succeeded: a mid-run error
-  // may have written a prefix, and rewriting a page is harmless while
+  RTB_RETURN_IF_ERROR(
+      store_->WriteBatch(wb_ids_.data(), wb_ids_.size(), wb_bufs_.data()));
+  // Clean marks only land after the whole batch succeeded: a mid-batch
+  // error may have written a prefix, and rewriting a page is harmless while
   // losing a dirty bit is not.
   for (const FrameId f : wb_frames_) {
     frames_[f].dirty = false;
@@ -341,56 +329,37 @@ Result<FrameId> BufferPool::PinPage(PageId id) {
   return f;
 }
 
-Status BufferPool::ReadPendingFrames(BatchEntry* entries, size_t n) {
-  if (!store_->CoalescesBatchReads()) {
-    // The store would serve ReadBatch as a loop of per-page reads anyway
-    // (MemPageStore), so read straight into the frames, in presentation
-    // order, with no sort, no id list and no staging copy — the exact read
-    // sequence of the looped Fetch path. The pending flags clear only once
-    // every read succeeded, so a mid-loop failure unwinds exactly like a
-    // failed ReadBatch: nothing from this batch stays resident.
-    for (size_t i = 0; i < n; ++i) {
-      if (!entries[i].pending) continue;
-      RTB_RETURN_IF_ERROR(store_->Read(entries[i].id, FrameData(entries[i].frame)));
-    }
-    for (size_t i = 0; i < n; ++i) entries[i].pending = false;
-    return Status::OK();
-  }
+Status BufferPool::ReadPendingFrames() {
   // Collect the pending subset sorted by page id: the batch executor's
   // elevator sweep presents descending ids every other batch, and the
-  // store's run coalescing wants ascending consecutive ids.
+  // store's run coalescing wants ascending consecutive ids. The store reads
+  // straight into the frames.
   batch_pending_.clear();
-  for (size_t i = 0; i < n; ++i) {
-    if (entries[i].pending) batch_pending_.push_back(&entries[i]);
+  for (BatchEntry& e : batch_entries_) {
+    if (e.pending) batch_pending_.push_back(&e);
   }
   if (batch_pending_.empty()) return Status::OK();
   std::sort(batch_pending_.begin(), batch_pending_.end(),
             [](const BatchEntry* a, const BatchEntry* b) {
               return a->id < b->id;
             });
-  const size_t stride = page_size();
-  if (batch_scratch_.size() < batch_pending_.size() * stride) {
-    batch_scratch_.resize(batch_pending_.size() * stride);
-  }
   batch_ids_.resize(batch_pending_.size());
+  batch_bufs_.resize(batch_pending_.size());
   for (size_t k = 0; k < batch_pending_.size(); ++k) {
     batch_ids_[k] = batch_pending_[k]->id;
+    batch_bufs_[k] = FrameData(batch_pending_[k]->frame);
   }
   RTB_RETURN_IF_ERROR(store_->ReadBatch(batch_ids_.data(), batch_ids_.size(),
-                                        batch_scratch_.data()));
-  for (size_t k = 0; k < batch_pending_.size(); ++k) {
-    std::memcpy(FrameData(batch_pending_[k]->frame),
-                batch_scratch_.data() + k * stride, stride);
-    batch_pending_[k]->pending = false;
-  }
+                                        batch_bufs_.data()));
+  for (BatchEntry* e : batch_pending_) e->pending = false;
   return Status::OK();
 }
 
-void BufferPool::UnwindPins(const std::vector<BatchEntry>& entries) {
+void BufferPool::UnwindPins() {
   // Reverse order: a repeated id's extra pin on a pending frame drops
   // before the pending install itself is rolled back.
-  for (size_t i = entries.size(); i > 0; --i) {
-    const BatchEntry& e = entries[i - 1];
+  for (size_t i = batch_entries_.size(); i > 0; --i) {
+    const BatchEntry& e = batch_entries_[i - 1];
     if (e.pending) {
       UninstallPending(e.frame);
     } else {
@@ -399,34 +368,35 @@ void BufferPool::UnwindPins(const std::vector<BatchEntry>& entries) {
   }
 }
 
-Result<std::vector<PageGuard>> BufferPool::FetchBatch(const PageId* ids,
-                                                      size_t count) {
+Status BufferPool::PinBatch(const PageId* ids, size_t count) {
   // Stage 1: pin every id in presentation order — hits and misses are
   // counted here, so BufferStats match the loop-Fetch path exactly — but
   // defer the miss reads. Stage 2 fills all misses with one store
-  // ReadBatch. Guards are only materialized once every frame holds real
-  // data; until then the pins are raw, which keeps the error unwind free of
-  // guard-ordering hazards.
-  std::vector<BatchEntry>& entries = batch_entries_;  // Reused across calls.
-  entries.clear();
-  entries.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
+  // ReadBatch. Until both succeed the pins are raw, which keeps the error
+  // unwind free of guard-ordering hazards.
+  batch_entries_.clear();
+  batch_entries_.reserve(count);
+  Status error = Status::OK();
+  for (size_t i = 0; i < count && error.ok(); ++i) {
     bool pending = false;
     Result<FrameId> f = PinPageNoRead(ids[i], &pending);
-    if (!f.ok()) {
-      UnwindPins(entries);
-      return f.status();
+    if (f.ok()) {
+      batch_entries_.push_back(BatchEntry{ids[i], *f, pending});
+    } else {
+      error = f.status();
     }
-    entries.push_back(BatchEntry{ids[i], *f, pending});
   }
-  Status error = ReadPendingFrames(entries.data(), entries.size());
-  if (!error.ok()) {
-    UnwindPins(entries);
-    return error;
-  }
+  if (error.ok()) error = ReadPendingFrames();
+  if (!error.ok()) UnwindPins();
+  return error;
+}
+
+Result<std::vector<PageGuard>> BufferPool::FetchBatch(const PageId* ids,
+                                                      size_t count) {
+  RTB_RETURN_IF_ERROR(PinBatch(ids, count));
   std::vector<PageGuard> guards;
   guards.reserve(count);
-  for (const BatchEntry& e : entries) {
+  for (const BatchEntry& e : batch_entries_) {
     guards.emplace_back(this, Frame{e.id, FrameData(e.frame), e.frame},
                         /*mark_dirty=*/false);
   }
@@ -547,49 +517,16 @@ Status BufferPool::EvictAll() {
 }
 
 Status BufferPool::FlushAll() {
+  // No-steal: an uncommitted page waits for its commit. Page-id order (in
+  // WriteBackFrames) turns the flush into the longest possible consecutive
+  // runs for WriteBatch.
   wb_frames_.clear();
   for (FrameId f = 0; f < frames_.size(); ++f) {
     const FrameMeta& meta = frames_[f];
-    // No-steal: an uncommitted page waits for its commit.
     if (meta.in_use && meta.dirty && !meta.uncommitted) wb_frames_.push_back(f);
   }
   if (wb_frames_.empty()) return Status::OK();
-  // Page-id order turns the flush into the longest possible consecutive
-  // runs for WriteBatch, and keeps a per-page store's writes in id order.
-  std::sort(wb_frames_.begin(), wb_frames_.end(),
-            [this](FrameId a, FrameId b) {
-              return frames_[a].page_id < frames_[b].page_id;
-            });
-  RTB_RETURN_IF_ERROR(
-      WalBeforeWriteback(wb_frames_.data(), wb_frames_.size()));
-  if (!store_->CoalescesBatchWrites()) {
-    for (const FrameId f : wb_frames_) {
-      RTB_RETURN_IF_ERROR(store_->Write(frames_[f].page_id, FrameData(f)));
-      ++stats_.writebacks;
-      frames_[f].dirty = false;
-    }
-    return Status::OK();
-  }
-  const size_t stride = page_size();
-  if (wb_scratch_.size() < wb_frames_.size() * stride) {
-    wb_scratch_.resize(wb_frames_.size() * stride);
-  }
-  wb_ids_.resize(wb_frames_.size());
-  for (size_t k = 0; k < wb_frames_.size(); ++k) {
-    wb_ids_[k] = frames_[wb_frames_[k]].page_id;
-    std::memcpy(wb_scratch_.data() + k * stride, FrameData(wb_frames_[k]),
-                stride);
-  }
-  RTB_RETURN_IF_ERROR(store_->WriteBatch(wb_ids_.data(), wb_ids_.size(),
-                                         wb_scratch_.data()));
-  // A failed batch may have written a prefix; every page stays dirty so a
-  // retry rewrites them all (idempotent), and nothing is marked clean that
-  // the store has not durably accepted.
-  for (const FrameId f : wb_frames_) {
-    frames_[f].dirty = false;
-    ++stats_.writebacks;
-  }
-  return Status::OK();
+  return WriteBackFrames();
 }
 
 }  // namespace rtb::storage

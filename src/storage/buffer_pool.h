@@ -274,11 +274,11 @@ class BufferPool final : public PageCache {
   Result<PageGuard> FetchMutable(PageId id) override;
 
   /// Overrides the loop-Fetch default to route the window's misses through
-  /// one PageStore::ReadBatch call (page-id sorted, so consecutive pages
-  /// coalesce into vectored reads on a FilePageStore). Hit/miss accounting
-  /// happens per id in presentation order before any read is issued, so
-  /// BufferStats are byte-identical to the looped path; only the number of
-  /// read *syscalls* changes.
+  /// one PageStore::ReadBatch call straight into their frames (page-id
+  /// sorted, so consecutive pages coalesce into vectored reads on a
+  /// FilePageStore). Hit/miss accounting happens per id in presentation
+  /// order before any read is issued, so BufferStats are byte-identical to
+  /// the looped path; only the number of read *syscalls* changes.
   Result<std::vector<PageGuard>> FetchBatch(const PageId* ids,
                                             size_t count) override;
 
@@ -374,23 +374,28 @@ class BufferPool final : public PageCache {
   // commit, when every spare's page is committed.
   Status ReturnSpareFrames();
 
-  // Writes the dirty eviction victim back. When the store coalesces batch
-  // writes, the victim is opportunistically clustered with dirty unpinned
-  // frames holding *consecutive* page ids (probed in both directions
-  // through the page table), and the whole run goes out as one WriteBatch —
-  // a single pwritev. The neighbors stay resident, just clean, so their own
-  // later eviction needs no write. Without a coalescing store this is
-  // exactly the historical single-page writeback. On failure every page of
-  // the cluster stays dirty (page writes are idempotent; retry rewrites).
+  // Writes the dirty eviction victim back, clustered with the dirty
+  // unpinned frames holding *consecutive* page ids (probed in both
+  // directions through the page table): the whole run goes out as one
+  // WriteBatch — a single pwritev on a FilePageStore. The neighbors stay
+  // resident, just clean, so their own later eviction needs no write. On
+  // failure every page of the cluster stays dirty (page writes are
+  // idempotent; retry rewrites).
   Status WritebackVictim(FrameId victim);
+
+  // Writes the frames listed in wb_frames_ (all dirty and committed) with
+  // one page-id-sorted WriteBatch straight from the frames, after the WAL
+  // pre-step, and marks them clean once the whole batch succeeded. The
+  // shared tail of WritebackVictim and FlushAll.
+  Status WriteBackFrames();
 
   // Pins the page into a frame, reading it on a miss. Core of Fetch.
   Result<FrameId> PinPage(PageId id);
 
   // Like PinPage, but a miss installs the frame (pinned, in the page table)
   // without reading from the store; `*pending` is set and the caller must
-  // either fill FrameData() — misses of a batch are filled together through
-  // store ReadBatch — or roll the install back with UninstallPending.
+  // either fill FrameData() — misses of a batch are filled together by
+  // ReadPendingFrames — or roll the install back with UninstallPending.
   // A repeated id in the same batch hits the pending frame, exactly as it
   // would hit the already-read frame on the looped path.
   Result<FrameId> PinPageNoRead(PageId id, bool* pending);
@@ -400,15 +405,18 @@ class BufferPool final : public PageCache {
   // the free list. Any extra pins from repeated ids must be dropped first.
   void UninstallPending(FrameId f);
 
-  // Reads every still-pending entry's page from the store, clearing the
-  // pending flags on success. When the store coalesces
-  // (CoalescesBatchReads()), the misses go through one ReadBatch call
-  // (page-id sorted to maximize consecutive runs) and are copied into the
-  // frames from a staging buffer; otherwise they are read straight into
-  // the frames, page at a time in presentation order — the store would
-  // loop anyway, and the sort and staging copy are pure overhead there. On
-  // error the entries stay pending (the caller unwinds them).
-  Status ReadPendingFrames(BatchEntry* entries, size_t n);
+  // Pins `ids[0..count)` in presentation order into batch_entries_ and
+  // fills the misses with one store ReadBatch. On error every pin taken is
+  // unwound (nothing from the batch stays resident) and the error
+  // returned. The core of both pools' FetchBatch: the entries hold one
+  // pinned frame per id for the caller to turn into guards.
+  Status PinBatch(const PageId* ids, size_t count);
+
+  // Reads every still-pending entry of batch_entries_ from the store with
+  // one ReadBatch (page-id sorted to maximize consecutive runs) straight
+  // into the frames, clearing the pending flags on success. On error the
+  // entries stay pending (PinBatch unwinds them).
+  Status ReadPendingFrames();
 
   // Installs the already-allocated, zero-filled page `id` into a frame,
   // pinned and dirty. Core of NewPage; also used by ShardedBufferPool,
@@ -417,9 +425,9 @@ class BufferPool final : public PageCache {
 
   void Unpin(const Frame& frame, bool dirty) override;
 
-  // Releases every staged pin of a failed FetchBatch in reverse order;
-  // entries still pending are uninstalled, the rest unpinned.
-  void UnwindPins(const std::vector<BatchEntry>& entries);
+  // Releases every pin in batch_entries_ in reverse order; entries still
+  // pending are uninstalled, the rest unpinned.
+  void UnwindPins();
 
   // WAL pre-step of any writeback (every frame of the set is committed):
   // blocks until the commit record covering each frame is durable. A no-op
@@ -461,25 +469,21 @@ class BufferPool final : public PageCache {
   // Open-addressed page-id -> frame index, sized at construction so
   // steady-state fetches never allocate (see storage/page_table.h).
   PageTable page_table_;
-  // Staging buffer for ReadPendingFrames when the store coalesces (frames
-  // are not contiguous per batch; the vectored store reads land here and
-  // are copied out). Grows once to the largest batch and is reused; stays
-  // empty for stores that read page at a time.
-  std::vector<uint8_t> batch_scratch_;
-  // Reused per-call scratch for FetchBatch / ReadPendingFrames, so the
+  // Reused per-call scratch for PinBatch / ReadPendingFrames, so the
   // small, frequent fetch windows of low batch sizes don't pay a heap
   // allocation each. Safe as members: the pool is externally serialized
   // (per shard for ShardedBufferPool) and neither call re-enters.
   std::vector<BatchEntry> batch_entries_;
   std::vector<BatchEntry*> batch_pending_;
   std::vector<PageId> batch_ids_;
+  std::vector<uint8_t*> batch_bufs_;
   // Scratch for the write side (FlushAll's sorted sweep and eviction-time
   // write clustering). Separate from the read-side batch_* scratch because
   // an eviction while FetchBatch pins must not scribble over the fetch
   // batch in progress.
   std::vector<FrameId> wb_frames_;
   std::vector<PageId> wb_ids_;
-  std::vector<uint8_t> wb_scratch_;
+  std::vector<const uint8_t*> wb_bufs_;
   size_t num_permanent_pins_ = 0;
   BufferStats stats_;
 };

@@ -71,7 +71,7 @@ class CrashWalHook final : public WalFaultHook {
 };
 
 /// Pass-through PageStore that can fail reads/writes/allocations on
-/// demand. Not thread-safe (like the rest of the storage layer).
+/// demand. Not thread-safe: the fault counters are plain fields.
 class FaultInjectingPageStore final : public PageStore {
  public:
   /// Wraps `base` (not owned; must outlive this object).
@@ -124,12 +124,6 @@ class FaultInjectingPageStore final : public PageStore {
 
   size_t page_size() const override { return base_->page_size(); }
   PageId num_pages() const override { return base_->num_pages(); }
-  bool CoalescesBatchReads() const override {
-    return base_->CoalescesBatchReads();
-  }
-  bool CoalescesBatchWrites() const override {
-    return base_->CoalescesBatchWrites();
-  }
 
   Result<PageId> Allocate() override {
     if (crash_ != nullptr && !crash_->Tick()) {
@@ -142,7 +136,62 @@ class FaultInjectingPageStore final : public PageStore {
     return base_->Allocate();
   }
 
-  Status Read(PageId id, uint8_t* out) override {
+  Status ReadBatch(const PageId* ids, size_t n,
+                   uint8_t* const* out) override {
+    // Only a batch that would actually fault degrades to page-at-a-time: a
+    // read countdown hits whatever comes next, but a poisoned page only
+    // matters if this batch contains it. Healthy batches keep the base
+    // store's vectored behavior (and its read_batches accounting), so fault
+    // tests measure the same batch I/O production takes.
+    if (failing_reads_ <= 0 && crash_ == nullptr &&
+        !Contains(ids, n, poisoned_page_)) {
+      return base_->ReadBatch(ids, n, out);
+    }
+    // Page at a time, so an injected failure lands mid-batch at exactly the
+    // page it would hit on the serial path (a countdown of k fails the
+    // batch's page k).
+    for (size_t i = 0; i < n; ++i) {
+      RTB_RETURN_IF_ERROR(ReadPage(ids[i], out[i]));
+    }
+    return Status::OK();
+  }
+
+  Status WriteBatch(const PageId* ids, size_t n,
+                    const uint8_t* const* data) override {
+    // Same degradation rule as ReadBatch: only a batch that would actually
+    // fault falls back to page-at-a-time, so healthy batches keep the base
+    // store's pwritev coalescing (and its write_batches accounting), and an
+    // armed countdown lands at exactly the page it would hit serially.
+    if (failing_writes_ <= 0 && crash_ == nullptr &&
+        !Contains(ids, n, write_poisoned_page_)) {
+      return base_->WriteBatch(ids, n, data);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      RTB_RETURN_IF_ERROR(WritePage(ids[i], data[i]));
+    }
+    return Status::OK();
+  }
+
+  Status Sync() override {
+    if (crash_ != nullptr && !crash_->Tick()) {
+      return Status::IoError("simulated crash at store sync");
+    }
+    return base_->Sync();
+  }
+
+  Status Close() override { return base_->Close(); }
+
+  IoStats stats() const override { return base_->stats(); }
+  void ResetStats() override { base_->ResetStats(); }
+
+ private:
+  static bool Contains(const PageId* ids, size_t n, PageId id) {
+    return id != kInvalidPageId && std::find(ids, ids + n, id) != ids + n;
+  }
+
+  // One page of a degraded batch: ticks the crash clock and applies the
+  // armed faults before reaching the base store.
+  Status ReadPage(PageId id, uint8_t* out) {
     if (crash_ != nullptr && !crash_->Tick()) {
       return Status::IoError("simulated crash at page read");
     }
@@ -154,34 +203,7 @@ class FaultInjectingPageStore final : public PageStore {
     return base_->Read(id, out);
   }
 
-  Status ReadBatch(const PageId* ids, size_t n, uint8_t* out) override {
-    // Only a batch that would actually fault degrades to page-at-a-time: a
-    // read countdown hits whatever comes next, but a poisoned page only
-    // matters if this batch contains it. Healthy batches keep the base
-    // store's vectored behavior (and its read_batches accounting), so fault
-    // tests measure the same batch I/O production takes.
-    bool would_fault = failing_reads_ > 0 || crash_ != nullptr;
-    if (!would_fault && poisoned_page_ != kInvalidPageId) {
-      for (size_t i = 0; i < n; ++i) {
-        if (ids[i] == poisoned_page_) {
-          would_fault = true;
-          break;
-        }
-      }
-    }
-    if (!would_fault) {
-      return base_->ReadBatch(ids, n, out);
-    }
-    // Degrade through this wrapper's Read, so an injected failure lands
-    // mid-batch at exactly the page it would hit on the serial path (a
-    // countdown of k fails the batch's page k).
-    for (size_t i = 0; i < n; ++i) {
-      RTB_RETURN_IF_ERROR(Read(ids[i], out + i * page_size()));
-    }
-    return Status::OK();
-  }
-
-  Status Write(PageId id, const uint8_t* data) override {
+  Status WritePage(PageId id, const uint8_t* data) {
     if (crash_ != nullptr) {
       bool dying = false;
       if (!crash_->Tick(&dying)) {
@@ -207,43 +229,6 @@ class FaultInjectingPageStore final : public PageStore {
     return base_->Write(id, data);
   }
 
-  Status WriteBatch(const PageId* ids, size_t n,
-                    const uint8_t* data) override {
-    // Same degradation rule as ReadBatch: only a batch that would actually
-    // fault falls back to page-at-a-time, so healthy batches keep the base
-    // store's pwritev coalescing (and its write_batches accounting), and an
-    // armed countdown lands at exactly the page it would hit serially.
-    bool would_fault = failing_writes_ > 0 || crash_ != nullptr;
-    if (!would_fault && write_poisoned_page_ != kInvalidPageId) {
-      for (size_t i = 0; i < n; ++i) {
-        if (ids[i] == write_poisoned_page_) {
-          would_fault = true;
-          break;
-        }
-      }
-    }
-    if (!would_fault) {
-      return base_->WriteBatch(ids, n, data);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      RTB_RETURN_IF_ERROR(Write(ids[i], data + i * page_size()));
-    }
-    return Status::OK();
-  }
-
-  Status Sync() override {
-    if (crash_ != nullptr && !crash_->Tick()) {
-      return Status::IoError("simulated crash at store sync");
-    }
-    return base_->Sync();
-  }
-
-  Status Close() override { return base_->Close(); }
-
-  IoStats stats() const override { return base_->stats(); }
-  void ResetStats() override { base_->ResetStats(); }
-
- private:
   PageStore* base_;
   int failing_reads_ = 0;
   int failing_writes_ = 0;

@@ -209,66 +209,56 @@ Result<PageId> FilePageStore::Allocate() {
   return id;
 }
 
-Status FilePageStore::Read(PageId id, uint8_t* out) {
-  return ReadBatch(&id, 1, out);
-}
-
-Status FilePageStore::ReadBatch(const PageId* ids, size_t n, uint8_t* out) {
+Status FilePageStore::ReadBatch(const PageId* ids, size_t n,
+                                uint8_t* const* out) {
   RTB_RETURN_IF_ERROR(CheckAllocated(
       ids, n, num_pages_.load(std::memory_order_acquire), "read"));
   for (size_t i = 0; i < n;) {
     const size_t run = RunLength(ids + i, n - i);
-    RTB_RETURN_IF_ERROR(MoveRun(/*write=*/false, ids[i], run,
-                                out + i * page_size_));
+    RTB_RETURN_IF_ERROR(MoveRun(/*write=*/false, ids[i], run, out + i));
     i += run;
   }
   return Status::OK();
 }
 
-Status FilePageStore::Write(PageId id, const uint8_t* data) {
-  return WriteBatch(&id, 1, data);
-}
-
 Status FilePageStore::WriteBatch(const PageId* ids, size_t n,
-                                 const uint8_t* data) {
+                                 const uint8_t* const* data) {
   RTB_RETURN_IF_ERROR(CheckAllocated(
       ids, n, num_pages_.load(std::memory_order_acquire), "write"));
   for (size_t i = 0; i < n;) {
     const size_t run = RunLength(ids + i, n - i);
-    // A write only reads the buffer; MoveRun is not const-correct because
+    // A write only reads the buffers; MoveRun is not const-correct because
     // the iovec API is not.
     RTB_RETURN_IF_ERROR(MoveRun(/*write=*/true, ids[i], run,
-                                const_cast<uint8_t*>(data) + i * page_size_));
+                                const_cast<uint8_t* const*>(data + i)));
     i += run;
   }
   return Status::OK();
 }
 
 Status FilePageStore::MoveRun(bool write, PageId first, size_t run,
-                              uint8_t* buf) {
+                              uint8_t* const* bufs) {
   const off_t base = PageOffset(first, page_size_);
   if (run == 1) {
-    if (write ? !PwriteFull(fd_, buf, page_size_, base)
-              : !PreadFull(fd_, buf, page_size_, base)) {
+    if (write ? !PwriteFull(fd_, bufs[0], page_size_, base)
+              : !PreadFull(fd_, bufs[0], page_size_, base)) {
       return Status::IoError(path_ + (write ? ": page write failed"
                                             : ": page read failed"));
     }
   } else {
-    // One iovec per page keeps the accounting page-granular and is the
-    // shape a scatter destination (per-frame iovecs) would use; the kernel
-    // sees a single contiguous transfer either way. A partial transfer
-    // resumes mid-page.
+    // One iovec per page: the run is contiguous in the file, the buffers
+    // need not be in memory. A partial transfer resumes mid-page.
     const size_t total = run * page_size_;
     size_t done = 0;
     while (done < total) {
       struct iovec iov[kMaxVectoredRun];
       int cnt = 0;
-      for (size_t at = done; at < total;) {
-        const size_t page_end = (at / page_size_ + 1) * page_size_;
-        iov[cnt].iov_base = buf + at;
-        iov[cnt].iov_len = page_end - at;
+      const size_t skip = done % page_size_;
+      for (size_t p = done / page_size_; p < run; ++p) {
+        const size_t from = cnt == 0 ? skip : 0;
+        iov[cnt].iov_base = bufs[p] + from;
+        iov[cnt].iov_len = page_size_ - from;
         ++cnt;
-        at = page_end;
       }
       const off_t offset = base + static_cast<off_t>(done);
       const ssize_t moved = write ? ::pwritev(fd_, iov, cnt, offset)

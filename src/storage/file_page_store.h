@@ -12,11 +12,12 @@
 //
 // ReadBatch and WriteBatch coalesce runs of consecutive page ids into a
 // single `preadv`/`pwritev` per run (consecutive pages are contiguous on
-// disk), so the batch executor's page-ordered miss windows and the pools'
+// disk) whose iovecs point at the callers' page buffers — the pools'
+// frames — so the batch executor's page-ordered miss windows and the pools'
 // sorted dirty sets reach the kernel as one syscall per run instead of one
-// per page. A run of one page is a plain `pread`/`pwrite`. Per-page counts
-// (`IoStats::reads`/`writes`) are the same whichever way a page travels;
-// only runs of two or more pages add to the batch counters.
+// per page, with no copy. A run of one page is a plain `pread`/`pwrite`.
+// Per-page counts (`IoStats::reads`/`writes`) are the same whichever way a
+// page travels; only runs of two or more pages add to the batch counters.
 
 #ifndef RTB_STORAGE_FILE_PAGE_STORE_H_
 #define RTB_STORAGE_FILE_PAGE_STORE_H_
@@ -80,16 +81,14 @@ class FilePageStore final : public PageStore {
   }
 
   Result<PageId> Allocate() override;
-  Status Read(PageId id, uint8_t* out) override;
-  Status ReadBatch(const PageId* ids, size_t n, uint8_t* out) override;
-  bool CoalescesBatchReads() const override { return true; }
-  Status Write(PageId id, const uint8_t* data) override;
+  /// Runs of consecutive ids become one preadv each, scattered straight
+  /// into the run's destinations; a lone page is one pread.
+  Status ReadBatch(const PageId* ids, size_t n, uint8_t* const* out) override;
   /// The write-side twin of ReadBatch: runs of consecutive ids become one
-  /// pwritev each. The buffer pools feed it page-id-sorted dirty sets
-  /// (flush, eviction clusters).
+  /// pwritev each, gathered from the run's sources. The buffer pools feed
+  /// it page-id-sorted dirty sets (flush, eviction clusters).
   Status WriteBatch(const PageId* ids, size_t n,
-                    const uint8_t* data) override;
-  bool CoalescesBatchWrites() const override { return true; }
+                    const uint8_t* const* data) override;
 
   IoStats stats() const override {
     IoStats snapshot;
@@ -146,10 +145,11 @@ class FilePageStore final : public PageStore {
   Status WriteHeader();
 
   // Moves the `run` consecutive pages starting at `first` between the file
-  // and `buf` (`run * page_size_` bytes): a pread/pwrite for one page, a
-  // preadv/pwritev for more. Counts `run` per-page reads or writes, plus
-  // one batch of `run` pages when run >= 2. The ids must be allocated.
-  Status MoveRun(bool write, PageId first, size_t run, uint8_t* buf);
+  // and `bufs[0..run)` (one page_size_ buffer per page): a pread/pwrite for
+  // one page, a preadv/pwritev for more. Counts `run` per-page reads or
+  // writes, plus one batch of `run` pages when run >= 2. The ids must be
+  // allocated.
+  Status MoveRun(bool write, PageId first, size_t run, uint8_t* const* bufs);
 
   // Recovery helper: grows (zero-filling) or shrinks (ftruncate) the file
   // to exactly `n` pages. Requires mu_ to be held.

@@ -39,23 +39,6 @@ MemPageStore::MemPageStore(size_t page_size) : page_size_(page_size) {
   RTB_CHECK(page_size > 0);
 }
 
-Status PageStore::ReadBatch(const PageId* ids, size_t n, uint8_t* out) {
-  const size_t stride = page_size();
-  for (size_t i = 0; i < n; ++i) {
-    RTB_RETURN_IF_ERROR(Read(ids[i], out + i * stride));
-  }
-  return Status::OK();
-}
-
-Status PageStore::WriteBatch(const PageId* ids, size_t n,
-                             const uint8_t* data) {
-  const size_t stride = page_size();
-  for (size_t i = 0; i < n; ++i) {
-    RTB_RETURN_IF_ERROR(Write(ids[i], data + i * stride));
-  }
-  return Status::OK();
-}
-
 Result<PageId> MemPageStore::Allocate() {
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (pages_.size() >= kInvalidPageId) {
@@ -66,24 +49,31 @@ Result<PageId> MemPageStore::Allocate() {
   return static_cast<PageId>(pages_.size() - 1);
 }
 
-Status MemPageStore::Read(PageId id, uint8_t* out) {
+Status MemPageStore::ReadBatch(const PageId* ids, size_t n,
+                               uint8_t* const* out) {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  if (id >= pages_.size()) {
-    return Status::NotFound("read of unallocated page " + std::to_string(id));
+  for (size_t i = 0; i < n; ++i) {
+    if (ids[i] >= pages_.size()) {
+      return Status::NotFound("read of unallocated page " +
+                              std::to_string(ids[i]));
+    }
+    std::memcpy(out[i], pages_[ids[i]].data(), page_size_);
+    reads_.fetch_add(1, std::memory_order_relaxed);
   }
-  std::memcpy(out, pages_[id].data(), page_size_);
-  reads_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
-Status MemPageStore::Write(PageId id, const uint8_t* data) {
+Status MemPageStore::WriteBatch(const PageId* ids, size_t n,
+                                const uint8_t* const* data) {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  if (id >= pages_.size()) {
-    return Status::NotFound("write of unallocated page " +
-                            std::to_string(id));
+  for (size_t i = 0; i < n; ++i) {
+    if (ids[i] >= pages_.size()) {
+      return Status::NotFound("write of unallocated page " +
+                              std::to_string(ids[i]));
+    }
+    std::memcpy(pages_[ids[i]].data(), data[i], page_size_);
+    writes_.fetch_add(1, std::memory_order_relaxed);
   }
-  std::memcpy(pages_[id].data(), data, page_size_);
-  writes_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 

@@ -5,11 +5,14 @@
 // memory (this reproduction does not need real I/O latency, only accurate
 // counts), but the interface is the one a file-backed store would implement.
 //
-// Stores are thread-safe: the concurrent query-execution layer
-// (ShardedBufferPool + ParallelRunner) drives reads and writes from many
-// worker threads at once. Counters are atomic and stats() returns a
-// consistent snapshot; single-threaded runs see exactly the same counts as
-// before the stores were made concurrent.
+// Stores are thread-safe: a ShardedBufferPool's shards, driven by the
+// batch executor's worker threads, issue reads and writes concurrently.
+// Counters are atomic and stats() returns a consistent snapshot;
+// single-threaded runs see exactly the same counts as before the stores
+// were made concurrent.
+//
+// Each direction has one I/O entry point, ReadBatch / WriteBatch, taking
+// one buffer pointer per page; Read and Write are one-page calls into it.
 
 #ifndef RTB_STORAGE_PAGE_STORE_H_
 #define RTB_STORAGE_PAGE_STORE_H_
@@ -43,8 +46,8 @@ void SetDurableSync(bool on);
 /// metric is unchanged by the batch-first API. `read_batches`/`batch_pages`
 /// additionally count the vectored operations a store managed to coalesce:
 /// a ReadBatch run of k >= 2 consecutive pages served by one preadv adds 1
-/// to `read_batches` and k to `batch_pages`. Stores without a vectored path
-/// (MemPageStore) leave both at zero.
+/// to `read_batches` and k to `batch_pages`. MemPageStore, which has no
+/// syscalls to save, leaves both at zero.
 /// Read syscalls issued are therefore `reads - batch_pages + read_batches`.
 ///
 /// The write side mirrors this exactly: `writes` stays per-page (the
@@ -99,46 +102,33 @@ class PageStore {
   /// Allocates a new zero-filled page and returns its id.
   virtual Result<PageId> Allocate() = 0;
 
-  /// Reads page `id` into `out` (must hold page_size() bytes). Counts one
-  /// disk read.
-  virtual Status Read(PageId id, uint8_t* out) = 0;
+  /// Multi-get: reads page `ids[i]` into `out[i]` (page_size() bytes each)
+  /// for i in [0, n). Counts one disk read per page, so the paper's metric
+  /// is independent of batching. The destinations need not be contiguous
+  /// or ordered — the buffer pools pass their frames directly.
+  /// MemPageStore loops; FilePageStore turns each run of consecutive ids
+  /// into one preadv scattered over the run's destinations. On error the
+  /// destinations are unspecified — a mid-batch failure may have filled
+  /// some of them.
+  virtual Status ReadBatch(const PageId* ids, size_t n,
+                           uint8_t* const* out) = 0;
 
-  /// Multi-get: reads pages `ids[0..n)` into `out` (`n * page_size()`
-  /// bytes, page i at `out + i * page_size()`). Counts one disk read per
-  /// page. The default implementation loops Read, so every store is correct
-  /// by construction; stores with a faster path (FilePageStore's preadv
-  /// over runs of consecutive ids) override it. On error the contents of
-  /// `out` are unspecified — a mid-batch failure may have filled a prefix.
-  virtual Status ReadBatch(const PageId* ids, size_t n, uint8_t* out);
+  /// Multi-put: writes page `ids[i]` from `data[i]` (page_size() bytes
+  /// each) for i in [0, n). Counts one disk write per page. FilePageStore
+  /// coalesces runs of consecutive ids into pwritev. On error a prefix of
+  /// the batch may have reached the store — page writes are idempotent, so
+  /// callers (the buffer pools) keep every page of a failed batch dirty
+  /// and retry the whole batch.
+  virtual Status WriteBatch(const PageId* ids, size_t n,
+                            const uint8_t* const* data) = 0;
 
-  /// Whether ReadBatch can do better than a loop of Read calls (true for
-  /// FilePageStore, false for MemPageStore). Callers that would have to
-  /// stage a batch through a bounce buffer — the buffer pools, whose frames
-  /// are not contiguous per batch — consult this to skip the staging copy
-  /// when the store would just loop anyway. Purely an optimization hint:
-  /// ReadBatch is correct (and counts identically) regardless.
-  virtual bool CoalescesBatchReads() const { return false; }
+  /// Reads page `id` into `out` (page_size() bytes): a ReadBatch of one.
+  Status Read(PageId id, uint8_t* out) { return ReadBatch(&id, 1, &out); }
 
-  /// Writes page `id` from `data` (page_size() bytes). Counts one disk
-  /// write.
-  virtual Status Write(PageId id, const uint8_t* data) = 0;
-
-  /// Multi-put: writes pages `ids[0..n)` from `data` (`n * page_size()`
-  /// bytes, page i at `data + i * page_size()`). Counts one disk write per
-  /// page, so the paper's metric is independent of batching. The default
-  /// loops Write; FilePageStore coalesces runs of consecutive ids into
-  /// pwritev. On error a prefix of the batch may have reached the store —
-  /// page writes are idempotent, so callers (the buffer pools) keep every
-  /// page of a failed batch dirty and retry the whole batch.
-  virtual Status WriteBatch(const PageId* ids, size_t n, const uint8_t* data);
-
-  /// Whether WriteBatch can do better than a loop of Write calls (true for
-  /// FilePageStore, false for MemPageStore). The write-side twin of
-  /// CoalescesBatchReads: pools consult it to decide whether sorting and
-  /// staging a dirty set through a bounce buffer can pay off. Purely an
-  /// optimization hint — WriteBatch is correct (and counts identically)
-  /// regardless.
-  virtual bool CoalescesBatchWrites() const { return false; }
+  /// Writes page `id` from `data` (page_size() bytes): a WriteBatch of one.
+  Status Write(PageId id, const uint8_t* data) {
+    return WriteBatch(&id, 1, &data);
+  }
 
   /// Makes every write issued so far durable (header + data + fsync for
   /// FilePageStore, honoring the DurableSync seam). A no-op for stores with
@@ -160,8 +150,8 @@ class PageStore {
 };
 
 /// In-memory PageStore with exact access counting. Thread-safe: Allocate
-/// takes an exclusive lock, Read/Write of distinct pages proceed in
-/// parallel under a shared lock. Concurrent writes to the *same* page are
+/// takes an exclusive lock, batches of distinct pages proceed in parallel
+/// under a shared lock. Concurrent writes to the *same* page are
 /// the caller's responsibility (the buffer pools never issue them: one
 /// frame per page).
 class MemPageStore final : public PageStore {
@@ -178,8 +168,9 @@ class MemPageStore final : public PageStore {
   }
 
   Result<PageId> Allocate() override;
-  Status Read(PageId id, uint8_t* out) override;
-  Status Write(PageId id, const uint8_t* data) override;
+  Status ReadBatch(const PageId* ids, size_t n, uint8_t* const* out) override;
+  Status WriteBatch(const PageId* ids, size_t n,
+                    const uint8_t* const* data) override;
 
   IoStats stats() const override {
     IoStats snapshot;

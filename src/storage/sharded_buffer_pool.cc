@@ -23,12 +23,12 @@ ShardedBufferPool::ShardedBufferPool(PageStore* store, size_t capacity,
     : store_(store), capacity_(capacity) {
   RTB_CHECK(store_ != nullptr);
   RTB_CHECK(capacity_ > 0);
-  size_t n = options.num_shards == 0 ? kDefaultShards : options.num_shards;
+  RTB_CHECK(options.num_shards > 0);
   // Power-of-two stripe count (for mask routing), with at least
   // kMinFramesPerShard frames per shard: a shard of one or two frames is
   // exhausted as soon as that many threads pin a page hashing to it.
-  n = FloorPow2(
-      std::max<size_t>(1, std::min(n, capacity_ / kMinFramesPerShard)));
+  const size_t n = FloorPow2(std::max<size_t>(
+      1, std::min(options.num_shards, capacity_ / kMinFramesPerShard)));
   shard_mask_ = n - 1;
   shards_.reserve(n);
   const size_t base = capacity_ / n;
@@ -72,41 +72,28 @@ Result<std::vector<PageGuard>> ShardedBufferPool::FetchBatch(
   guards.reserve(count);
   Status error = Status::OK();
   size_t i = 0;
-  while (i < count && error.ok()) {
+  while (i < count) {
     // One lock acquisition per run of consecutive ids on the same shard.
     // Within the run the misses are staged (pinned, unread) and then filled
     // through one store ReadBatch, all under the shard lock, so no other
     // thread ever observes an unfilled frame.
     const size_t shard = ShardOf(ids[i]);
+    size_t end = i + 1;
+    while (end < count && ShardOf(ids[end]) == shard) ++end;
     Shard& s = *shards_[shard];
     const auto lock = Lock(s);
-    // The shard's own FetchBatch scratch, guarded by the shard lock.
-    std::vector<BufferPool::BatchEntry>& run = s.pool->batch_entries_;
-    run.clear();
-    for (; i < count && ShardOf(ids[i]) == shard; ++i) {
-      bool pending = false;
-      Result<FrameId> f = s.pool->PinPageNoRead(ids[i], &pending);
-      if (!f.ok()) {
-        error = f.status();
-        break;
-      }
-      run.push_back(BufferPool::BatchEntry{ids[i], *f, pending});
-    }
-    if (error.ok()) {
-      error = s.pool->ReadPendingFrames(run.data(), run.size());
-    }
-    if (!error.ok()) {
-      // Unwind this run entirely under its own lock. The raw pins never
-      // became guards, so no guard release can re-take the mutex held here.
-      // Guards from earlier runs (other shards) are released by the clear
-      // below, outside any lock.
-      s.pool->UnwindPins(run);
-      break;
-    }
-    for (const BufferPool::BatchEntry& e : run) {
-      guards.emplace_back(this, Frame{e.id, s.pool->FrameData(e.frame), e.frame},
+    // A failed run is unwound entirely under its own lock by PinBatch. The
+    // raw pins never became guards, so no guard release re-takes the mutex
+    // held here. Guards from earlier runs (other shards) are released by
+    // the clear below, outside any lock.
+    error = s.pool->PinBatch(ids + i, end - i);
+    if (!error.ok()) break;
+    for (const BufferPool::BatchEntry& e : s.pool->batch_entries_) {
+      guards.emplace_back(this,
+                          Frame{e.id, s.pool->FrameData(e.frame), e.frame},
                           /*mark_dirty=*/false);
     }
+    i = end;
   }
   if (!error.ok()) {
     guards.clear();  // Outside any shard lock; safe to unpin.

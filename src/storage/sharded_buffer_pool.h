@@ -41,10 +41,9 @@ namespace rtb::storage {
 class ShardedBufferPool final : public PageCache {
  public:
   struct Options {
-    /// Number of lock stripes; rounded down to a power of two and capped so
-    /// every shard keeps at least kMinFramesPerShard frames (a pool smaller
-    /// than that gets one shard). 0 picks a default sized for moderate
-    /// thread counts (kDefaultShards, capped the same way).
+    /// Number of lock stripes; must be set (> 0). Rounded down to a power
+    /// of two and capped so every shard keeps at least kMinFramesPerShard
+    /// frames (a pool smaller than that gets one shard).
     size_t num_shards = 0;
     /// Replacement policy instantiated per shard.
     PolicyKind policy = PolicyKind::kLru;
@@ -52,7 +51,6 @@ class ShardedBufferPool final : public PageCache {
     uint64_t seed = 0;
   };
 
-  static constexpr size_t kDefaultShards = 16;
   /// Frame floor per shard. A shard's frames can all be pinned by other
   /// threads, and a full shard fails the fetch instead of waiting, so every
   /// shard keeps room for a few concurrent pins.
@@ -61,11 +59,10 @@ class ShardedBufferPool final : public PageCache {
   /// The pool does not own `store`; it must outlive the pool.
   ShardedBufferPool(PageStore* store, size_t capacity, Options options);
 
-  /// Convenience: per-shard LRU, the paper's policy. `num_shards == 0`
-  /// picks the default stripe count.
+  /// Convenience: per-shard LRU, the paper's policy.
   static std::unique_ptr<ShardedBufferPool> MakeLru(PageStore* store,
                                                     size_t capacity,
-                                                    size_t num_shards = 0);
+                                                    size_t num_shards);
 
   ShardedBufferPool(const ShardedBufferPool&) = delete;
   ShardedBufferPool& operator=(const ShardedBufferPool&) = delete;

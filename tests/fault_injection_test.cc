@@ -137,23 +137,25 @@ TEST(FaultInjectionTest, HealthyBatchKeepsBaseVectoredPath) {
   store.FailPage(7, Status::IoError("bad sector"));
   const PageId ids[4] = {1, 2, 3, 4};
   std::vector<uint8_t> out(4 * store.page_size());
+  uint8_t* const outs[4] = {out.data(), out.data() + store.page_size(),
+                            out.data() + 2 * store.page_size(),
+                            out.data() + 3 * store.page_size()};
   const uint64_t batches_before = store.stats().read_batches;
-  ASSERT_TRUE(store.ReadBatch(ids, 4, out.data()).ok());
+  ASSERT_TRUE(store.ReadBatch(ids, 4, outs).ok());
   EXPECT_GT(store.stats().read_batches, batches_before);
   EXPECT_EQ(out[0], 0x41);
   EXPECT_EQ(out[3 * store.page_size()], 0x44);
 
   // A batch that does contain the poisoned page fails.
   const PageId poisoned_ids[3] = {5, 6, 7};
-  EXPECT_EQ(store.ReadBatch(poisoned_ids, 3, out.data()).code(),
+  EXPECT_EQ(store.ReadBatch(poisoned_ids, 3, outs).code(),
             StatusCode::kIoError);
 
   // And an armed countdown fails the batch at the faulted page.
   store.FailPage(kInvalidPageId, Status::OK());
   store.FailNextReads(1, Status::IoError("transient"));
-  EXPECT_EQ(store.ReadBatch(ids, 4, out.data()).code(),
-            StatusCode::kIoError);
-  ASSERT_TRUE(store.ReadBatch(ids, 4, out.data()).ok());
+  EXPECT_EQ(store.ReadBatch(ids, 4, outs).code(), StatusCode::kIoError);
+  ASSERT_TRUE(store.ReadBatch(ids, 4, outs).ok());
 
   ASSERT_TRUE(store.Close().ok());
   std::remove(path);
@@ -168,19 +170,20 @@ TEST(FaultInjectionTest, HealthyWriteBatchKeepsBaseVectoredPath) {
     ASSERT_TRUE(id.ok());
   }
   FaultInjectingPageStore store(file->get());
-  ASSERT_TRUE(store.CoalescesBatchWrites());
 
   // A write-poisoned page outside the batch must not degrade the batch to
   // page-at-a-time writes: the base store still coalesces with pwritev.
   store.FailPageWrites(7, Status::IoError("bad sector"));
   const PageId ids[4] = {1, 2, 3, 4};
   std::vector<uint8_t> data(4 * store.page_size());
+  const uint8_t* datas[4];
   for (int i = 0; i < 4; ++i) {
     data[static_cast<size_t>(i) * store.page_size()] =
         static_cast<uint8_t>(0x60 + i);
+    datas[i] = data.data() + static_cast<size_t>(i) * store.page_size();
   }
   const uint64_t batches_before = store.stats().write_batches;
-  ASSERT_TRUE(store.WriteBatch(ids, 4, data.data()).ok());
+  ASSERT_TRUE(store.WriteBatch(ids, 4, datas).ok());
   EXPECT_GT(store.stats().write_batches, batches_before);
   std::vector<uint8_t> buf(store.page_size());
   ASSERT_TRUE(store.Read(4, buf.data()).ok());
@@ -189,15 +192,17 @@ TEST(FaultInjectionTest, HealthyWriteBatchKeepsBaseVectoredPath) {
   // A batch that does contain the poisoned page fails.
   const PageId poisoned_ids[3] = {5, 6, 7};
   std::vector<uint8_t> three(3 * store.page_size());
-  EXPECT_EQ(store.WriteBatch(poisoned_ids, 3, three.data()).code(),
+  const uint8_t* const threes[3] = {three.data(),
+                                    three.data() + store.page_size(),
+                                    three.data() + 2 * store.page_size()};
+  EXPECT_EQ(store.WriteBatch(poisoned_ids, 3, threes).code(),
             StatusCode::kIoError);
 
   // And an armed countdown fails the batch at the faulted page.
   store.FailPageWrites(kInvalidPageId, Status::OK());
   store.FailNextWrites(1, Status::IoError("transient"));
-  EXPECT_EQ(store.WriteBatch(ids, 4, data.data()).code(),
-            StatusCode::kIoError);
-  ASSERT_TRUE(store.WriteBatch(ids, 4, data.data()).ok());
+  EXPECT_EQ(store.WriteBatch(ids, 4, datas).code(), StatusCode::kIoError);
+  ASSERT_TRUE(store.WriteBatch(ids, 4, datas).ok());
 
   ASSERT_TRUE(store.Close().ok());
   std::remove(path);

@@ -543,12 +543,14 @@ class CommittedWritesOnly final : public storage::PageStore {
   size_t page_size() const override { return inner_->page_size(); }
   PageId num_pages() const override { return inner_->num_pages(); }
   Result<PageId> Allocate() override { return inner_->Allocate(); }
-  Status Read(PageId id, uint8_t* out) override {
-    return inner_->Read(id, out);
+  Status ReadBatch(const PageId* ids, size_t n,
+                   uint8_t* const* out) override {
+    return inner_->ReadBatch(ids, n, out);
   }
-  Status Write(PageId id, const uint8_t* data) override {
-    if (armed) Check(id, data);
-    return inner_->Write(id, data);
+  Status WriteBatch(const PageId* ids, size_t n,
+                    const uint8_t* const* data) override {
+    for (size_t i = 0; armed && i < n; ++i) Check(ids[i], data[i]);
+    return inner_->WriteBatch(ids, n, data);
   }
   Status Sync() override { return inner_->Sync(); }
   storage::IoStats stats() const override { return inner_->stats(); }

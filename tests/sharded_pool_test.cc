@@ -71,16 +71,6 @@ TEST(ShardedBufferPoolTest, ShardCountRoundsDownToPowerOfTwo) {
   EXPECT_EQ(tiny->capacity(), 3u);
 }
 
-TEST(ShardedBufferPoolTest, DefaultShardCountCappedByCapacity) {
-  auto store = MakeStore(8);
-  auto pool = ShardedBufferPool::MakeLru(store.get(), 32);  // 0 = auto.
-  EXPECT_EQ(pool->num_shards(), 4u);
-  auto tiny = ShardedBufferPool::MakeLru(store.get(), 4);
-  EXPECT_EQ(tiny->num_shards(), 1u);
-  auto big = ShardedBufferPool::MakeLru(store.get(), 1024);
-  EXPECT_EQ(big->num_shards(), ShardedBufferPool::kDefaultShards);
-}
-
 TEST(ShardedBufferPoolTest, SingleShardMatchesSerialPoolExactly) {
   // With one shard the pool is a mutex around one BufferPool, so any access
   // sequence produces identical counters to the serial pool.
@@ -326,16 +316,16 @@ TEST(ShardedBufferPoolConcurrencyTest, ConcurrentWritersToDisjointPages) {
   }
 }
 
-TEST(ShardedBufferPoolConcurrencyTest, HeldPinsLeaveRoomInSmallDefaultPool) {
-  // Four threads each hold one pin on a ~24-frame pool with the default
-  // shard count while every thread sweeps all pages. A shard of one or two
+TEST(ShardedBufferPoolConcurrencyTest, HeldPinsLeaveRoomInSmallPool) {
+  // Four threads each hold one pin on a ~24-frame pool asking for 16
+  // shards while every thread sweeps all pages. A shard of one or two
   // frames would be filled by another thread's held pin and fail the
   // sweep's fetch with ResourceExhausted; the per-shard frame floor keeps
   // room for every concurrent pin.
   constexpr int kThreads = 4;
   constexpr int kPages = 64;
   auto store = MakeStore(kPages);
-  auto pool = ShardedBufferPool::MakeLru(store.get(), 24);
+  auto pool = ShardedBufferPool::MakeLru(store.get(), 24, 16);
   std::barrier sync(kThreads);
   std::atomic<uint64_t> failures{0};
   std::vector<std::thread> threads;

@@ -10,9 +10,9 @@
 #   tools/run_checks.sh release    # one of: release | tsan | asan | ubsan | storage | update | durability | server | workload
 #
 # `storage` is a fast focused leg: it reuses the release build and runs only
-# the `storage`-labeled tests (page stores, fault injection, the coalesced
-# preadv/pwritev batches) — the suite to iterate on when touching
-# src/storage/.
+# the `storage`-labeled tests (page stores, the serial and sharded buffer
+# pools, fault injection, the coalesced preadv/pwritev batches) — the suite
+# to iterate on when touching src/storage/.
 #
 # `update` reuses the release build and runs the `update`-labeled tests
 # (batched insert/delete execution and the write-side fault injection) —
