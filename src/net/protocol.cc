@@ -150,6 +150,11 @@ Status ParseRequest(const Frame& frame, Request* out) {
       if (out->k == 0) {
         return Status::InvalidArgument("KNN k must be >= 1");
       }
+      // A larger k could encode a reply past the frame cap.
+      if (out->k > kMaxKnnK) {
+        return Status::InvalidArgument("KNN k must be <= " +
+                                       std::to_string(kMaxKnnK));
+      }
       return Status::OK();
     case static_cast<uint8_t>(MsgType::kInsert):
     case static_cast<uint8_t>(MsgType::kDelete):

@@ -28,7 +28,7 @@
 //                     reply to the sentinel, so a client can probe with
 //                     STATS "capabilities" (kCapOpenBoundSearch) first.
 //           reply     u32 n, then n u64 object ids
-//   KNN     request   2 f64: x y, then u32 k
+//   KNN     request   2 f64: x y, then u32 k (1 <= k <= kMaxKnnK)
 //           reply     u32 n, then n x (u64 id, f64 distance)
 //   INSERT  request   4 f64 rect, u64 object id
 //           reply     empty
@@ -73,6 +73,11 @@ inline constexpr size_t kLengthBytes = 4;
 /// reply; small enough that a hostile length prefix cannot balloon a
 /// connection buffer.
 inline constexpr size_t kMaxPayloadBytes = size_t{1} << 20;
+
+/// Largest KNN k a request may ask for: the most (u64 id, f64 distance)
+/// pairs a reply payload holds after its u32 count, 65,535.
+inline constexpr uint32_t kMaxKnnK =
+    (kMaxPayloadBytes - sizeof(uint32_t)) / 16;
 
 enum class MsgType : uint8_t {
   kSearch = 1,

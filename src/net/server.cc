@@ -13,7 +13,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "rtree/knn.h"
 #include "util/macros.h"
 
 namespace rtb::net {
@@ -543,16 +542,23 @@ Status Server::ExecuteDrain() {
     // serial-update contract too, and the error went back to the clients.
   }
 
-  // 2. Searches: one level-synchronous batch over every rectangle.
-  if (!drain_searches_.empty()) {
+  // 2. Searches and kNN: one level-synchronous batch over every SEARCH
+  // rectangle and every kNN's square, sized by the density estimate.
+  if (!drain_searches_.empty() || !drain_knns_.empty()) {
     search_rects_.clear();
     for (const size_t i : drain_searches_) {
       search_rects_.push_back(queue_[i].req.rect);
     }
-    search_results_.clear();
+    knn_queries_.clear();
+    for (const size_t i : drain_knns_) {
+      const Request& req = queue_[i].req;
+      knn_queries_.push_back(rtree::KnnQuery{
+          req.point, req.k, stack_->knn_radius().Estimate(req.point, req.k)});
+    }
     const Status run = search_exec_->Run(
-        std::span<const geom::Rect>(search_rects_), &search_results_,
-        &stats_.search_batch);
+        std::span<const geom::Rect>(search_rects_),
+        std::span<const rtree::KnnQuery>(knn_queries_), &search_results_,
+        &knn_results_, &stats_.search_batch);
     const auto now = std::chrono::steady_clock::now();
     for (size_t s = 0; s < drain_searches_.size(); ++s) {
       const Pending& p = queue_[drain_searches_[s]];
@@ -577,33 +583,28 @@ Status Server::ExecuteDrain() {
       replied(p, conn, now);
       ++stats_.searches;
     }
-  }
-
-  // 3. kNN: serial best-first searches (they share the warmed pool).
-  for (const size_t i : drain_knns_) {
-    const Pending& p = queue_[i];
-    Connection* conn = conn_of(p.fd);
-    auto result = rtree::SearchKnn(*stack_->tree(), p.req.point, p.req.k);
-    const auto now = std::chrono::steady_clock::now();
-    if (conn != nullptr) {
-      if (!result.ok()) {
-        AppendErrorReply(p.req.request_id, MsgType::kKnn, result.status(),
-                         &conn->out);
-        ++stats_.protocol_errors;
-      } else {
-        std::vector<WireNeighbor> neighbors;
-        neighbors.reserve(result->size());
-        for (const rtree::Neighbor& nb : *result) {
-          neighbors.push_back(WireNeighbor{nb.id, nb.distance});
+    // ParseRequest caps k at kMaxKnnK, so a kNN reply always fits a frame.
+    for (size_t j = 0; j < drain_knns_.size(); ++j) {
+      const Pending& p = queue_[drain_knns_[j]];
+      Connection* conn = conn_of(p.fd);
+      if (conn != nullptr) {
+        if (!run.ok()) {
+          AppendErrorReply(p.req.request_id, MsgType::kKnn, run, &conn->out);
+          ++stats_.protocol_errors;
+        } else {
+          wire_neighbors_.clear();
+          for (const rtree::Neighbor& nb : knn_results_[j]) {
+            wire_neighbors_.push_back(WireNeighbor{nb.id, nb.distance});
+          }
+          AppendKnnReply(p.req.request_id, wire_neighbors_, &conn->out);
         }
-        AppendKnnReply(p.req.request_id, neighbors, &conn->out);
       }
+      replied(p, conn, now);
+      ++stats_.knns;
     }
-    replied(p, conn, now);
-    ++stats_.knns;
   }
 
-  // 4. STATS: answered after the drain's work so the counters include it.
+  // 3. STATS: answered after the drain's work so the counters include it.
   for (const size_t i : drain_stats_) {
     const Pending& p = queue_[i];
     Connection* conn = conn_of(p.fd);
@@ -661,6 +662,9 @@ report::JsonDict Server::StatsJson() const {
   batch.PutInt("search_workers", search_exec_->workers());
   batch.PutInt("search_node_accesses", stats_.search_batch.node_accesses);
   batch.PutInt("search_page_visits", stats_.search_batch.page_visits);
+  // Rounds per kNN is knn_rounds / server.knns; a round is one level pass.
+  batch.PutInt("knn_rounds", stats_.search_batch.knn_rounds);
+  batch.PutInt("knn_candidates", stats_.search_batch.knn_candidates);
   batch.PutInt("update_inserts", stats_.update_batch.inserts);
   batch.PutInt("update_deletes_found", stats_.update_batch.deletes_found);
   batch.PutInt("update_deletes_missing", stats_.update_batch.deletes_missing);

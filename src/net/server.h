@@ -13,17 +13,19 @@
 //                  in arrival order; with a WAL attached the run commits
 //                  (group-commit window applies) before any reply is
 //                  encoded, so an acked update is logged-committed;
-//   2. searches  — one BatchExecutor::Run over every SEARCH rectangle,
-//                  observing this drain's updates; each tree level's page
-//                  runs are split by buffer shard over
-//                  ServerOptions::search_workers threads (the serving
-//                  thread and parked helpers), and the serving thread
-//                  waits for the level to finish;
-//   3. kNN       — serially (best-first search does not batch);
-//   4. stats     — answered from the counters after 1-3.
+//   2. searches  — one BatchExecutor::Run over every SEARCH rectangle and
+//                  every KNN, observing this drain's updates. A KNN rides
+//                  the same level pass as the square of the radius
+//                  ServingStack::knn_radius() expects to hold k objects;
+//                  one whose k-th neighbour may lie outside its square
+//                  takes another pass. Each tree level's page runs are
+//                  split by buffer shard over ServerOptions::search_workers
+//                  threads (the serving thread and parked helpers), and
+//                  the serving thread waits for the level to finish;
+//   3. stats     — answered from the counters after 1-2.
 //
-// Everything but the search levels — admission, updates, kNN, STATS and
-// reply encoding — runs on the serving thread.
+// Everything but the search levels — admission, updates, STATS and reply
+// encoding — runs on the serving thread.
 //
 // Replies are encoded into per-connection output buffers and flushed with
 // nonblocking writes (EPOLLOUT on short writes), out-of-order across
@@ -192,7 +194,7 @@ class Server {
   void ReapDeadConnections();
 
   // Executes the admission queue as one coalesced drain (the fixed
-  // updates -> searches -> kNN -> stats order above), encodes the replies
+  // updates -> searches and kNN -> stats order above), encodes the replies
   // and flushes each touched connection.
   Status ExecuteDrain();
 
@@ -236,6 +238,9 @@ class Server {
   std::vector<size_t> drain_stats_;
   std::vector<geom::Rect> search_rects_;
   std::vector<std::vector<rtree::ObjectId>> search_results_;
+  std::vector<rtree::KnnQuery> knn_queries_;
+  std::vector<std::vector<rtree::Neighbor>> knn_results_;
+  std::vector<WireNeighbor> wire_neighbors_;
   std::vector<rtree::UpdateOp> update_ops_;
   std::vector<uint8_t> update_found_;
 };

@@ -26,6 +26,7 @@ Result<std::unique_ptr<ServingStack>> ServingStack::Open(
   auto stack = std::unique_ptr<ServingStack>(new ServingStack());
   stack->spec_ = effective;
   RTB_ASSIGN_OR_RETURN(stack->prepared_, engine::PrepareTree(effective));
+  stack->knn_radius_ = rtree::KnnRadius(*stack->prepared_.summary);
 
   RTB_ASSIGN_OR_RETURN(storage::PolicyKind kind,
                        engine::ParsePolicyKind(effective.pool.policy));

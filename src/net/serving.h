@@ -8,7 +8,8 @@
 // the search executor splits each level's page runs over its worker
 // threads by shard, and since each shard sees the same accesses whatever
 // the worker count, the pool's counters stay reproducible — pins the
-// requested top levels, and, when the spec enables it, starts the WAL the
+// requested top levels, sizes the kNN radius estimator (rtree::KnnRadius)
+// from the tree's summary, and, when the spec enables it, starts the WAL the
 // way engine::Run does: sync the bulk-loaded store, create the log, write a
 // checkpoint describing that durable base, attach the writer to the pool
 // (no-force discipline from then on).
@@ -27,6 +28,7 @@
 
 #include "engine/engine.h"
 #include "engine/spec.h"
+#include "rtree/knn.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
 #include "storage/wal.h"
@@ -74,12 +76,16 @@ class ServingStack {
   }
   const engine::ExperimentSpec& spec() const { return spec_; }
   const engine::IndexMeta& meta() const { return prepared_.meta; }
+  /// The first-round kNN radius, from the tree as opened (updates since
+  /// then only cost a kNN extra rounds, never a wrong answer).
+  const rtree::KnnRadius& knn_radius() const { return knn_radius_; }
 
  private:
   ServingStack() = default;
 
   engine::ExperimentSpec spec_;
   engine::PreparedTree prepared_;
+  rtree::KnnRadius knn_radius_;
   std::unique_ptr<storage::PageCache> pool_;
   std::unique_ptr<storage::WalWriter> wal_;
   std::optional<rtree::RTree> tree_;

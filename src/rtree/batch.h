@@ -49,6 +49,19 @@
 // batch) runs inline on the caller in sweep order, its windows spanning
 // shards as on a serial pool; that choice depends on the run count alone,
 // so it too is the same for any worker count.
+//
+// kNN. A Run can carry kNN queries beside its rectangles; each becomes a
+// region query, the square of half-side r around its point (r from the
+// caller, typically KnnRadius in knn.h), and rides the same level pass:
+// its pages join the dedup, the shards and the workers. Leaf visits emit
+// (distance, id) candidates. After the pass a kNN whose k-th candidate
+// distance is <= r is exact — every object within r meets the square —
+// and the rest go into another pass with r set to the k-th distance (exact
+// then) or, with fewer than k candidates, doubled; a square that covers
+// the root MBR ends the search whatever it found (k > n, the empty tree).
+// Candidates are ranked by (distance, id), so neither the merge order nor
+// the worker count changes an answer, and since the extra passes depend
+// only on the queries, the BufferStats contract above holds for them too.
 
 #ifndef RTB_RTREE_BATCH_H_
 #define RTB_RTREE_BATCH_H_
@@ -62,6 +75,8 @@
 #include <utility>
 #include <vector>
 
+#include "geom/point.h"
+#include "rtree/knn.h"
 #include "rtree/node.h"
 #include "rtree/rtree.h"
 #include "rtree/scan_kernel.h"
@@ -78,6 +93,18 @@ struct BatchStats {
   /// Distinct pages pinned; within one batch each frontier page counts
   /// once no matter how many queries share it.
   uint64_t page_visits = 0;
+  /// (kNN, pass) pairs: rounds per kNN is knn_rounds / kNNs run.
+  uint64_t knn_rounds = 0;
+  /// Leaf entries the kNN squares met, summed over their rounds.
+  uint64_t knn_candidates = 0;
+};
+
+/// One kNN for BatchExecutor::Run: the `k` objects nearest `point`,
+/// searched first within the square of half-side `radius`.
+struct KnnQuery {
+  geom::Point point;
+  size_t k = 0;
+  double radius = 0.0;
 };
 
 /// The worker count the server and the experiment engine hand to a
@@ -112,6 +139,19 @@ class BatchExecutor {
              std::vector<std::vector<ObjectId>>* results,
              BatchStats* stats = nullptr);
 
+  /// As above, and also runs every kNN in `knns` in the same level pass:
+  /// `neighbors` is resized to knns.size() and neighbors->at(j) holds the
+  /// min(k, objects) objects nearest knns[j].point by MinDistance, in
+  /// ascending (distance, id) order. A kNN with k = 0 or a non-finite
+  /// point finds nothing and touches no pages; any radius works (a poor
+  /// one costs extra passes).
+  /// `neighbors` may be null only when `knns` is empty.
+  Status Run(std::span<const geom::Rect> queries,
+             std::span<const KnnQuery> knns,
+             std::vector<std::vector<ObjectId>>* results,
+             std::vector<std::vector<Neighbor>>* neighbors,
+             BatchStats* stats = nullptr);
+
  private:
   // A frontier item is (page, query) packed as page << 32 | query, so the
   // per-level sort by (page, query) is a branchless sort of plain uint64_t.
@@ -135,20 +175,22 @@ class BatchExecutor {
   };
 
   // One worker's private scratch. Worker 0 (the caller) appends leaf hits
-  // straight to the results and next-level items to next_; helpers buffer
-  // theirs here until the level barrier.
+  // and kNN candidates straight to the results and next-level items to
+  // next_; helpers buffer theirs here until the level barrier.
   struct Worker {
     ScanScratch scratch;
     std::vector<uint32_t> match_idx;
     std::vector<storage::PageId> window_ids;
     std::vector<uint64_t> next;
     std::vector<std::pair<uint32_t, ObjectId>> hits;
+    std::vector<std::pair<uint32_t, Neighbor>> candidates;  // (kNN, hit).
     Status status;
   };
 
   // Scans the already-pinned page for the frontier run [begin, end) (all
-  // items share the page). Leaf matches go to `results` (worker 0) or
-  // wk->hits; internal matches to `next`.
+  // items share the page). Leaf matches of a region query go to `results`
+  // (worker 0) or wk->hits, those of a kNN square to candidates_ (worker 0)
+  // or wk->candidates; internal matches to `next`.
   Status VisitPage(Worker* wk, const storage::PageGuard& guard,
                    const PageRun& run, std::vector<uint64_t>* next,
                    std::vector<std::vector<ObjectId>>* results);
@@ -171,6 +213,11 @@ class BatchExecutor {
                     std::vector<uint64_t>* next,
                     std::vector<std::vector<ObjectId>>* results);
 
+  // Runs the level pass from frontier_ down to the leaves, walking each
+  // level's runs high-to-low when `reverse`; accumulates into `stats`.
+  Status RunLevels(bool reverse, std::vector<std::vector<ObjectId>>* results,
+                   BatchStats* stats);
+
   // Body of helper thread `w`: parks until the next level (or shutdown),
   // walks its shards, reports completion.
   void HelperLoop(size_t w);
@@ -191,8 +238,19 @@ class BatchExecutor {
   std::atomic<uint32_t> generation_{0};
   std::atomic<uint32_t> pending_{0};
   std::atomic<bool> stop_{false};
-  // The batch being run; read only during Run().
-  std::span<const geom::Rect> queries_;
+  // The pass being run, read only during Run(): the region queries'
+  // rectangles, then one square per kNN (query num_rects_ + j is kNN j).
+  std::vector<geom::Rect> queries_;
+  size_t num_rects_ = 0;
+  std::span<const KnnQuery> knns_;
+  // Per kNN: its candidates this pass, its square's half-side, and the
+  // kNNs still searching (indexes into the knns span).
+  std::vector<std::vector<Neighbor>> candidates_;
+  std::vector<double> radius_;
+  std::vector<uint32_t> searching_;
+  std::vector<uint32_t> still_searching_;
+  // The root's MBR, taken at its visit in each pass.
+  geom::Rect root_mbr_;
 
   std::vector<uint64_t> frontier_;
   std::vector<uint64_t> next_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numbers>
 #include <queue>
 
 #include "storage/buffer_pool.h"
@@ -76,6 +77,64 @@ Result<std::vector<Neighbor>> SearchKnn(const RTree& tree, Point point,
     }
   }
   return result;
+}
+
+KnnRadius::KnnRadius(const TreeSummary& summary) {
+  double entries = 0.0;
+  size_t leaves = 0;
+  for (const NodeInfo& node : summary.nodes()) {
+    if (node.level != 0 || node.num_entries == 0 || node.mbr.is_empty()) {
+      continue;
+    }
+    bounds_ = geom::Union(bounds_, node.mbr);
+    entries += node.num_entries;
+    ++leaves;
+  }
+  if (leaves == 0) return;
+
+  // A degenerate MBR (collinear or coincident data) borrows its other side,
+  // or a unit side, so every cell has an area.
+  double width = bounds_.width();
+  double height = bounds_.height();
+  if (width <= 0.0) width = height;
+  if (height <= 0.0) height = width;
+  if (width <= 0.0) width = height = 1.0;
+  side_ = std::max<size_t>(
+      1, static_cast<size_t>(std::lround(std::sqrt(static_cast<double>(
+             leaves)))));
+  cell_w_ = width / static_cast<double>(side_);
+  cell_h_ = height / static_cast<double>(side_);
+
+  std::vector<double> count(side_ * side_, 0.0);
+  for (const NodeInfo& node : summary.nodes()) {
+    if (node.level != 0 || node.num_entries == 0 || node.mbr.is_empty()) {
+      continue;
+    }
+    const size_t x0 = Column(node.mbr.lo.x), x1 = Column(node.mbr.hi.x);
+    const size_t y0 = Row(node.mbr.lo.y), y1 = Row(node.mbr.hi.y);
+    const double share = node.num_entries /
+                         static_cast<double>((x1 - x0 + 1) * (y1 - y0 + 1));
+    for (size_t y = y0; y <= y1; ++y) {
+      for (size_t x = x0; x <= x1; ++x) count[y * side_ + x] += share;
+    }
+  }
+
+  const double mean = entries / static_cast<double>(side_ * side_);
+  unit_radius_.resize(count.size());
+  for (size_t c = 0; c < count.size(); ++c) {
+    const double per_cell = count[c] > 0.0 ? count[c] : mean;
+    const double rho = per_cell / (cell_w_ * cell_h_);
+    unit_radius_[c] = std::sqrt(kScale / (std::numbers::pi * rho));
+  }
+}
+
+double KnnRadius::Estimate(Point p, size_t k) const {
+  if (unit_radius_.empty()) return 0.0;
+  const size_t c =
+      Row(std::clamp(p.y, bounds_.lo.y, bounds_.hi.y)) * side_ +
+      Column(std::clamp(p.x, bounds_.lo.x, bounds_.hi.x));
+  return MinDistance(p, bounds_) +
+         unit_radius_[c] * std::sqrt(static_cast<double>(k));
 }
 
 }  // namespace rtb::rtree

@@ -16,9 +16,15 @@
 //     via the concurrency label);
 //   * workers>1 — one executor splitting each level by pool shard over 1, 2
 //     or 4 threads returns the serial results and the same node accesses,
-//     page visits and BufferStats for every worker count.
+//     page visits and BufferStats for every worker count;
+//   * kNN — kNNs riding the level pass beside region queries return
+//     SearchKnn's distances (k 1-64 and k > n; points inside the data,
+//     outside it and on leaf MBR edges; objects exactly at the radius; the
+//     empty tree), with identical BufferStats at 1, 2 and 4 workers.
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -50,6 +56,14 @@ struct TreeFixture {
     Rng rng(seed);
     auto rects = data::GenerateUniformPoints(points, &rng);
     store = std::make_unique<storage::MemPageStore>();
+    auto b = BuildRTree(store.get(), RTreeConfig::WithFanout(fanout), rects,
+                        LoadAlgorithm::kHilbertSort);
+    RTB_CHECK(b.ok());
+    built = *b;
+  }
+
+  TreeFixture(const std::vector<Rect>& rects, uint32_t fanout)
+      : store(std::make_unique<storage::MemPageStore>()), fanout(fanout) {
     auto b = BuildRTree(store.get(), RTreeConfig::WithFanout(fanout), rects,
                         LoadAlgorithm::kHilbertSort);
     RTB_CHECK(b.ok());
@@ -568,6 +582,335 @@ TEST(BatchWorkersTest, SerialPoolRunsOnOneWorker) {
   ASSERT_TRUE(tree.ok());
   BatchExecutor executor(&*tree, 4);
   EXPECT_EQ(executor.workers(), 1u);
+}
+
+// --------------------------------------------------------------------------
+// kNN in the level pass: SearchKnn's distances, and the same BufferStats for
+// any worker count
+// --------------------------------------------------------------------------
+
+using geom::Point;
+
+// The serial best-first search over a resident pool answers every kNN.
+std::vector<std::vector<double>> OracleDistances(
+    const TreeFixture& fx, const std::vector<KnnQuery>& knns) {
+  auto pool = storage::BufferPool::MakeLru(fx.store.get(), 1 << 14);
+  auto tree = RTree::Open(pool.get(), RTreeConfig::WithFanout(fx.fanout),
+                          fx.built.root, fx.built.height);
+  RTB_CHECK(tree.ok());
+  std::vector<std::vector<double>> out;
+  for (const KnnQuery& q : knns) {
+    auto got = SearchKnn(*tree, q.point, q.k);
+    RTB_CHECK(got.ok());
+    out.emplace_back();
+    for (const Neighbor& n : *got) out.back().push_back(n.distance);
+  }
+  return out;
+}
+
+std::vector<double> Distances(const std::vector<Neighbor>& neighbors) {
+  std::vector<double> out;
+  for (const Neighbor& n : neighbors) out.push_back(n.distance);
+  return out;
+}
+
+// Ascending (distance, id), no id twice: the executor's ranking.
+void ExpectRanked(const std::vector<Neighbor>& neighbors) {
+  for (size_t i = 1; i < neighbors.size(); ++i) {
+    const Neighbor& a = neighbors[i - 1];
+    const Neighbor& b = neighbors[i];
+    EXPECT_TRUE(a.distance < b.distance ||
+                (a.distance == b.distance && a.id < b.id))
+        << "rank " << i;
+  }
+}
+
+// A seeded mix of region queries and kNNs over `fx`: kNN points inside the
+// data, outside it, and on the corners and edges of leaf MBRs; k cycling
+// 1-64 with every 16th kNN asking for more objects than the tree holds;
+// the radius from the estimator, and every 7th one scaled so the kNN must
+// widen (x0, x0.01) or starts covering the tree (x50).
+struct KnnMix {
+  std::vector<Rect> rects;
+  std::vector<KnnQuery> knns;
+};
+
+KnnMix MakeKnnMix(const TreeFixture& fx, size_t n_rects, size_t n_knns,
+                  uint64_t seed) {
+  auto summary = TreeSummary::Extract(fx.store.get(), fx.built.root);
+  RTB_CHECK(summary.ok());
+  std::vector<Rect> leaves;
+  for (const NodeInfo& node : summary->nodes()) {
+    if (node.level == 0) leaves.push_back(node.mbr);
+  }
+  const KnnRadius radius(*summary);
+  const size_t objects = summary->NumDataEntries();
+
+  KnnMix mix;
+  mix.rects = MakeQueries(n_rects, seed);
+  Rng rng(seed + 1);
+  for (size_t j = 0; j < n_knns; ++j) {
+    Point p{rng.NextDouble(), rng.NextDouble()};
+    if (j % 3 == 1) {
+      p = Point{rng.NextDouble() * 2.0 - 0.5, rng.NextDouble() * 2.0 - 0.5};
+      if (j % 2 == 0) p.x = 1.0 + 0.1 * rng.NextDouble();  // Outside.
+    } else if (j % 3 == 2) {
+      const Rect& leaf = leaves[rng.NextUint64() % leaves.size()];
+      switch (j % 4) {
+        case 0: p = leaf.lo; break;
+        case 1: p = leaf.hi; break;
+        case 2: p = Point{leaf.lo.x, leaf.Center().y}; break;
+        default: p = Point{leaf.Center().x, leaf.hi.y}; break;
+      }
+    }
+    const size_t k = j % 16 == 15 ? objects + 5 : 1 + j % 64;
+    double r = radius.Estimate(p, k);
+    if (j % 7 == 3) r *= (j / 7) % 3 == 0 ? 0.0 : (j / 7) % 3 == 1 ? 0.01 : 50;
+    mix.knns.push_back(KnnQuery{p, k, r});
+  }
+  return mix;
+}
+
+struct KnnRun {
+  std::vector<std::vector<ObjectId>> results;  // Sorted per query.
+  std::vector<std::vector<Neighbor>> neighbors;
+  BatchStats batch;
+  storage::BufferStats buffer;
+};
+
+// Runs `mix` in batches of `batch_size` region queries and `batch_size / 4`
+// kNNs through one executor with `workers` threads, on a fresh sharded pool.
+KnnRun RunKnnMix(const TreeFixture& fx, size_t capacity, size_t shards,
+                 size_t workers, const KnnMix& mix, size_t batch_size) {
+  auto pool =
+      storage::ShardedBufferPool::MakeLru(fx.store.get(), capacity, shards);
+  auto tree = RTree::Open(pool.get(), RTreeConfig::WithFanout(fx.fanout),
+                          fx.built.root, fx.built.height);
+  RTB_CHECK(tree.ok());
+  BatchExecutor executor(&*tree, workers);
+  RTB_CHECK(executor.workers() == std::min(workers, shards));
+  KnnRun run;
+  const size_t knn_batch = std::max<size_t>(1, batch_size / 4);
+  for (size_t b = 0; b * batch_size < mix.rects.size() ||
+                     b * knn_batch < mix.knns.size();
+       ++b) {
+    const size_t r0 = std::min(mix.rects.size(), b * batch_size);
+    const size_t r1 = std::min(mix.rects.size(), r0 + batch_size);
+    const size_t k0 = std::min(mix.knns.size(), b * knn_batch);
+    const size_t k1 = std::min(mix.knns.size(), k0 + knn_batch);
+    std::vector<std::vector<ObjectId>> chunk;
+    std::vector<std::vector<Neighbor>> nn;
+    RTB_CHECK(executor
+                  .Run(std::span<const Rect>(mix.rects.data() + r0, r1 - r0),
+                       std::span<const KnnQuery>(mix.knns.data() + k0,
+                                                 k1 - k0),
+                       &chunk, &nn, &run.batch)
+                  .ok());
+    for (auto& r : chunk) run.results.push_back(Sorted(std::move(r)));
+    for (auto& n : nn) run.neighbors.push_back(std::move(n));
+  }
+  run.buffer = pool->AggregateStats();
+  return run;
+}
+
+void ExpectSameBufferStats(const storage::BufferStats& a,
+                           const storage::BufferStats& b) {
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.writebacks, b.writebacks);
+  EXPECT_EQ(a.spare_frames, b.spare_frames);
+}
+
+TEST(BatchKnnTest, MatchesSearchKnnAndKeepsBufferStatsAcrossWorkers) {
+  TreeFixture fx(20000, 16);
+  for (const uint64_t seed : {uint64_t{91}, uint64_t{92}}) {
+    const KnnMix mix = MakeKnnMix(fx, 400, 160, seed);
+    const std::vector<std::vector<double>> oracle =
+        OracleDistances(fx, mix.knns);
+    auto serial_pool =
+        storage::BufferPool::MakeLru(fx.store.get(), 1 << 14);
+    auto serial_tree =
+        RTree::Open(serial_pool.get(), RTreeConfig::WithFanout(fx.fanout),
+                    fx.built.root, fx.built.height);
+    ASSERT_TRUE(serial_tree.ok());
+    std::vector<std::vector<ObjectId>> serial(mix.rects.size());
+    for (size_t q = 0; q < mix.rects.size(); ++q) {
+      ASSERT_TRUE(serial_tree->Search(mix.rects[q], &serial[q]).ok());
+      serial[q] = Sorted(std::move(serial[q]));
+    }
+
+    for (const auto& [capacity, shards] :
+         {std::pair<size_t, size_t>{256, 4}, {64, 8}}) {
+      for (const size_t batch_size : {size_t{37}, size_t{256}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << ", " << capacity << " frames, "
+                     << shards << " shards, batch " << batch_size);
+        const KnnRun one =
+            RunKnnMix(fx, capacity, shards, 1, mix, batch_size);
+        ASSERT_EQ(one.results, serial);
+        ASSERT_EQ(one.neighbors.size(), mix.knns.size());
+        for (size_t j = 0; j < mix.knns.size(); ++j) {
+          EXPECT_EQ(Distances(one.neighbors[j]), oracle[j]) << "kNN " << j;
+          ExpectRanked(one.neighbors[j]);
+        }
+        // Every kNN takes a round; the scaled radii force some more.
+        EXPECT_GT(one.batch.knn_rounds, mix.knns.size());
+        EXPECT_GT(one.batch.knn_candidates, 0u);
+        for (const size_t workers : {size_t{2}, size_t{4}}) {
+          const KnnRun many =
+              RunKnnMix(fx, capacity, shards, workers, mix, batch_size);
+          EXPECT_EQ(many.results, one.results) << workers << " workers";
+          ASSERT_EQ(many.neighbors.size(), one.neighbors.size());
+          for (size_t j = 0; j < one.neighbors.size(); ++j) {
+            ASSERT_EQ(many.neighbors[j].size(), one.neighbors[j].size());
+            for (size_t i = 0; i < one.neighbors[j].size(); ++i) {
+              EXPECT_EQ(many.neighbors[j][i].id, one.neighbors[j][i].id);
+              EXPECT_EQ(many.neighbors[j][i].distance,
+                        one.neighbors[j][i].distance);
+            }
+          }
+          EXPECT_EQ(many.batch.node_accesses, one.batch.node_accesses);
+          EXPECT_EQ(many.batch.page_visits, one.batch.page_visits);
+          EXPECT_EQ(many.batch.knn_rounds, one.batch.knn_rounds);
+          EXPECT_EQ(many.batch.knn_candidates, one.batch.knn_candidates);
+          ExpectSameBufferStats(many.buffer, one.buffer);
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchKnnTest, ObjectsExactlyAtTheRadiusNeedNoSecondRound) {
+  // A 0.01-spaced grid of points: most kNNs here have ties at their k-th
+  // distance, and the axis-aligned neighbours sit exactly on the edge of a
+  // square whose half-side is that distance. Handed the exact k-th
+  // distance, every kNN must resolve in its first round, which only holds
+  // if rounding never cuts such an object off.
+  std::vector<Rect> grid;
+  for (int i = 0; i < 100; ++i) {
+    for (int j = 0; j < 100; ++j) {
+      grid.push_back(Rect::FromPoint({i * 0.01, j * 0.01}));
+    }
+  }
+  const TreeFixture fx(grid, 16);
+
+  Rng rng(5);
+  std::vector<KnnQuery> knns;
+  for (size_t j = 0; j < 200; ++j) {
+    const double x = static_cast<double>(rng.NextUint64() % 100) * 0.01;
+    const double y = static_cast<double>(rng.NextUint64() % 100) * 0.01;
+    const Point p = j % 2 == 0 ? Point{x, y} : Point{x + 0.005, y};
+    knns.push_back(KnnQuery{p, 1 + j % 64, 0.0});
+  }
+  const std::vector<std::vector<double>> oracle = OracleDistances(fx, knns);
+  for (size_t j = 0; j < knns.size(); ++j) knns[j].radius = oracle[j].back();
+
+  auto pool = storage::ShardedBufferPool::MakeLru(fx.store.get(), 256, 4);
+  auto tree = RTree::Open(pool.get(), RTreeConfig::WithFanout(16),
+                          fx.built.root, fx.built.height);
+  ASSERT_TRUE(tree.ok());
+  BatchExecutor executor(&*tree, 4);
+  std::vector<std::vector<ObjectId>> results;
+  std::vector<std::vector<Neighbor>> neighbors;
+  BatchStats stats;
+  ASSERT_TRUE(executor.Run({}, knns, &results, &neighbors, &stats).ok());
+  EXPECT_EQ(stats.knn_rounds, knns.size());
+  for (size_t j = 0; j < knns.size(); ++j) {
+    EXPECT_EQ(Distances(neighbors[j]), oracle[j]) << "kNN " << j;
+  }
+}
+
+TEST(BatchKnnTest, EmptyTreeAndDegenerateKnnsFindNothing) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // The empty tree: one round, whose square covers the (empty) root MBR,
+  // ends every kNN, whatever its radius.
+  {
+    storage::MemPageStore store;
+    auto pool = storage::ShardedBufferPool::MakeLru(&store, 64, 2);
+    auto tree = RTree::Create(pool.get(), RTreeConfig::WithFanout(16));
+    ASSERT_TRUE(tree.ok());
+    ASSERT_TRUE(pool->FlushAll().ok());
+    auto summary = TreeSummary::Extract(&store, tree->root());
+    ASSERT_TRUE(summary.ok());
+    const KnnRadius radius(*summary);
+    EXPECT_EQ(radius.Estimate(Point{0.5, 0.5}, 10), 0.0);
+    const std::vector<KnnQuery> knns = {{{0.5, 0.5}, 1, 0.0},
+                                        {{-3.0, 7.0}, 64, 0.25},
+                                        {{0.5, 0.5}, 1000, 1e9}};
+    const Rect rect(0.0, 0.0, 1.0, 1.0);
+    BatchExecutor executor(&*tree, 2);
+    std::vector<std::vector<ObjectId>> results;
+    std::vector<std::vector<Neighbor>> neighbors;
+    BatchStats stats;
+    ASSERT_TRUE(executor
+                    .Run(std::span<const Rect>(&rect, 1), knns, &results,
+                         &neighbors, &stats)
+                    .ok());
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].empty());
+    ASSERT_EQ(neighbors.size(), knns.size());
+    for (const auto& n : neighbors) EXPECT_TRUE(n.empty());
+    EXPECT_EQ(stats.knn_rounds, knns.size());
+    EXPECT_EQ(stats.knn_candidates, 0u);
+  }
+  // k = 0 and a non-finite point find nothing and touch no pages.
+  {
+    TreeFixture fx(2000, 16);
+    auto pool = storage::BufferPool::MakeLru(fx.store.get(), 64);
+    auto tree = RTree::Open(pool.get(), RTreeConfig::WithFanout(16),
+                            fx.built.root, fx.built.height);
+    ASSERT_TRUE(tree.ok());
+    const std::vector<KnnQuery> knns = {{{0.5, 0.5}, 0, 0.1},
+                                        {{kNaN, 0.5}, 5, 0.1},
+                                        {{0.5, kNaN}, 5, kNaN}};
+    BatchExecutor executor(&*tree);
+    std::vector<std::vector<ObjectId>> results;
+    std::vector<std::vector<Neighbor>> neighbors;
+    BatchStats stats;
+    const uint64_t requests = pool->AggregateStats().requests;
+    ASSERT_TRUE(executor.Run({}, knns, &results, &neighbors, &stats).ok());
+    ASSERT_EQ(neighbors.size(), knns.size());
+    for (const auto& n : neighbors) EXPECT_TRUE(n.empty());
+    EXPECT_EQ(stats.knn_rounds, 0u);
+    EXPECT_EQ(stats.node_accesses, 0u);
+    EXPECT_EQ(pool->AggregateStats().requests, requests);
+  }
+}
+
+TEST(KnnRadiusTest, DiscHoldsAboutScaleTimesK) {
+  // Uniform data: the estimated disc around an interior point holds about
+  // kScale * k objects; outside the data the estimate adds the distance to
+  // the data's MBR.
+  TreeFixture fx(20000, 16);
+  auto summary = TreeSummary::Extract(fx.store.get(), fx.built.root);
+  ASSERT_TRUE(summary.ok());
+  const KnnRadius radius(*summary);
+  auto pool = storage::BufferPool::MakeLru(fx.store.get(), 1 << 14);
+  auto tree = RTree::Open(pool.get(), RTreeConfig::WithFanout(fx.fanout),
+                          fx.built.root, fx.built.height);
+  ASSERT_TRUE(tree.ok());
+  Rng rng(3);
+  constexpr size_t kK = 20;
+  double held = 0.0;
+  constexpr int kTrials = 200;
+  for (int t = 0; t < kTrials; ++t) {
+    const Point p{0.1 + 0.8 * rng.NextDouble(), 0.1 + 0.8 * rng.NextDouble()};
+    const double r = radius.Estimate(p, kK);
+    auto all = SearchKnn(*tree, p, 4 * kK);
+    ASSERT_TRUE(all.ok());
+    held += static_cast<double>(std::count_if(
+        all->begin(), all->end(),
+        [r](const Neighbor& n) { return n.distance <= r; }));
+  }
+  const double mean = held / kTrials;
+  EXPECT_GT(mean, 0.7 * KnnRadius::kScale * kK);
+  EXPECT_LT(mean, 1.3 * KnnRadius::kScale * kK);
+
+  const Point outside{3.0, 0.5};
+  EXPECT_GT(radius.Estimate(outside, 1), 2.0);
+  EXPECT_EQ(KnnRadius().Estimate(outside, 1), 0.0);
 }
 
 }  // namespace

@@ -100,6 +100,30 @@ TEST(ProtocolTest, KnnRequestRoundTrip) {
   EXPECT_EQ(req.k, 12u);
 }
 
+// k is capped where the largest reply still fits one frame: any larger k
+// could encode a reply the peer's DecodeFrame rejects as malformed.
+TEST(ProtocolTest, KnnKIsCappedAtTheReplyFrame) {
+  EXPECT_EQ(kMaxKnnK, 65'535u);
+  const std::vector<WireNeighbor> full(kMaxKnnK, WireNeighbor{1, 0.5});
+  std::vector<uint8_t> reply;
+  AppendKnnReply(1, full, &reply);
+  Reply parsed;
+  ASSERT_TRUE(ParseReply(MustDecode(reply), &parsed).ok());
+  EXPECT_EQ(parsed.neighbors.size(), kMaxKnnK);
+  EXPECT_GT(sizeof(uint32_t) + (kMaxKnnK + 1) * 16, kMaxPayloadBytes);
+
+  std::vector<uint8_t> buf;
+  AppendKnnRequest(2, Point{0.5, 0.5}, kMaxKnnK, &buf);
+  Request req;
+  ASSERT_TRUE(ParseRequest(MustDecode(buf), &req).ok());
+  EXPECT_EQ(req.k, kMaxKnnK);
+
+  buf.clear();
+  AppendKnnRequest(3, Point{0.5, 0.5}, kMaxKnnK + 1, &buf);
+  const Status over = ParseRequest(MustDecode(buf), &req);
+  EXPECT_EQ(over.code(), StatusCode::kInvalidArgument) << over.ToString();
+}
+
 TEST(ProtocolTest, UpdateRequestRoundTrip) {
   std::vector<uint8_t> buf;
   const Rect rect(0.0, 0.0, 0.1, 0.1);

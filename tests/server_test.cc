@@ -1,7 +1,8 @@
 // End-to-end tests for the coalescing server (net/server.h): wire-level
 // round-trips, the coalescing determinism contract (N concurrent clients
 // produce the same node accesses and BufferStats as one offline
-// BatchExecutor run over the same request multiset), backpressure,
+// BatchExecutor run over the same request multiset, kNNs included), the
+// KNN k cap at the reply frame, backpressure,
 // protocol-error handling on a live socket, and the graceful-shutdown
 // fix-path (drain + WAL checkpoint + PR 8 close order => a clean,
 // nothing-to-redo log under OpenWithRecovery).
@@ -27,6 +28,7 @@
 #include "net/client.h"
 #include "net/serving.h"
 #include "rtree/batch.h"
+#include "rtree/knn.h"
 #include "rtree/validate.h"
 #include "storage/buffer_pool.h"
 #include "storage/file_page_store.h"
@@ -366,6 +368,192 @@ TEST(ServerTest, CoalescedStatsMatchOfflineRunAcrossWorkers) {
   EXPECT_EQ(served_pool.hits, offline_pool.hits);
   EXPECT_EQ(served_pool.misses, offline_pool.misses);
   EXPECT_EQ(served_pool.evictions, offline_pool.evictions);
+  ASSERT_TRUE((*stack)->Close().ok());
+}
+
+// SEARCH and KNN in one drain: the server runs both in one level pass over
+// 4 workers, and every reply and every counter equals one offline
+// single-worker Run over the same rectangles and kNNs, each kNN sized by the
+// stack's radius estimator.
+TEST(ServerTest, CoalescedSearchAndKnnMatchOfflineRunAcrossWorkers) {
+  constexpr size_t kClients = 8;
+  constexpr size_t kSearches = 32;
+  constexpr size_t kKnns = 8;
+  constexpr size_t kTotal = kClients * (kSearches + kKnns);
+
+  const auto spec = SmallSpec(/*n=*/40000, /*pool_pages=*/512);
+  std::vector<Rect> rects;
+  std::vector<Point> points;
+  std::vector<uint32_t> ks;
+  Rng rng(77);
+  for (size_t c = 0; c < kClients; ++c) {
+    const std::vector<Rect> qs = MakeQueries(kSearches, 500 + c);
+    rects.insert(rects.end(), qs.begin(), qs.end());
+    for (size_t i = 0; i < kKnns; ++i) {
+      // Every fourth point lies outside the [0,1]^2 data.
+      const double x = rng.NextDouble() * (i % 4 == 3 ? 3.0 : 1.0);
+      points.push_back(Point{x, rng.NextDouble()});
+      ks.push_back(static_cast<uint32_t>(1 + (c * kKnns + i) * 7 % 64));
+    }
+  }
+
+  rtree::BatchStats offline_stats;
+  storage::BufferStats offline_pool;
+  std::vector<std::vector<rtree::ObjectId>> offline_results;
+  std::vector<std::vector<rtree::Neighbor>> offline_neighbors;
+  {
+    auto stack = ServingStack::Open(spec);
+    ASSERT_TRUE(stack.ok());
+    std::vector<rtree::KnnQuery> knns;
+    for (size_t j = 0; j < points.size(); ++j) {
+      knns.push_back(rtree::KnnQuery{
+          points[j], ks[j], (*stack)->knn_radius().Estimate(points[j], ks[j])});
+    }
+    rtree::BatchExecutor exec((*stack)->tree(), /*workers=*/1);
+    ASSERT_TRUE(exec.Run(std::span<const Rect>(rects),
+                         std::span<const rtree::KnnQuery>(knns),
+                         &offline_results, &offline_neighbors,
+                         &offline_stats)
+                    .ok());
+    offline_pool = (*stack)->pool()->AggregateStats();
+    ASSERT_TRUE((*stack)->Close().ok());
+  }
+  ASSERT_GT(offline_pool.evictions, 0u) << "the pool must be under pressure";
+  ASSERT_GE(offline_stats.knn_rounds, points.size());
+
+  auto stack = ServingStack::Open(spec);
+  ASSERT_TRUE(stack.ok());
+  ServerOptions options;
+  options.max_batch = kTotal + 1;  // The requests and one STATS request.
+  options.max_wait_us = 60'000'000;  // Only the batch bound may trip.
+  options.search_workers = 4;
+  Server server(stack->get(), options);
+  ASSERT_EQ(server.search_workers(), 4u);
+  ASSERT_TRUE(server.Start().ok());
+  ServeThread serving(&server);
+
+  std::vector<std::vector<rtree::ObjectId>> served_results(rects.size());
+  std::vector<std::vector<WireNeighbor>> served_neighbors(points.size());
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      auto client = Client::Connect(server.port());
+      ASSERT_TRUE(client.ok());
+      std::vector<uint64_t> search_ids, knn_ids;
+      for (size_t i = 0; i < kSearches; ++i) {
+        search_ids.push_back(
+            (*client)->QueueSearch(rects[c * kSearches + i]));
+        if (i % 4 == 0) {
+          const size_t j = c * kKnns + i / 4;
+          knn_ids.push_back((*client)->QueueKnn(points[j], ks[j]));
+        }
+      }
+      ASSERT_TRUE((*client)->Flush().ok());
+      for (size_t i = 0; i < kSearches; ++i) {
+        auto reply = (*client)->WaitFor(search_ids[i]);
+        ASSERT_TRUE(reply.ok());
+        ASSERT_TRUE(reply->ok());
+        served_results[c * kSearches + i] = reply->ids;
+      }
+      for (size_t i = 0; i < kKnns; ++i) {
+        auto reply = (*client)->WaitFor(knn_ids[i]);
+        ASSERT_TRUE(reply.ok());
+        ASSERT_TRUE(reply->ok());
+        served_neighbors[c * kKnns + i] = reply->neighbors;
+      }
+    });
+  }
+  std::string stats_text;
+  threads.emplace_back([&] {
+    auto client = Client::Connect(server.port());
+    ASSERT_TRUE(client.ok());
+    auto stats = (*client)->WaitFor((*client)->QueueStats());
+    ASSERT_TRUE(stats.ok());
+    ASSERT_TRUE(stats->ok());
+    stats_text = stats->text;
+  });
+  for (auto& t : threads) t.join();
+  serving.Stop();
+  ASSERT_TRUE(serving.status().ok());
+
+  for (size_t q = 0; q < rects.size(); ++q) {
+    std::sort(served_results[q].begin(), served_results[q].end());
+    std::sort(offline_results[q].begin(), offline_results[q].end());
+    EXPECT_EQ(served_results[q], offline_results[q]) << "search " << q;
+  }
+  for (size_t j = 0; j < points.size(); ++j) {
+    ASSERT_EQ(served_neighbors[j].size(), offline_neighbors[j].size())
+        << "kNN " << j;
+    for (size_t i = 0; i < served_neighbors[j].size(); ++i) {
+      EXPECT_EQ(served_neighbors[j][i].id, offline_neighbors[j][i].id);
+      EXPECT_EQ(served_neighbors[j][i].distance,
+                offline_neighbors[j][i].distance);
+    }
+  }
+
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.batches, 1u) << "the whole multiset must coalesce";
+  EXPECT_EQ(s.knns, points.size());
+  EXPECT_EQ(s.search_batch.node_accesses, offline_stats.node_accesses);
+  EXPECT_EQ(s.search_batch.page_visits, offline_stats.page_visits);
+  EXPECT_EQ(s.search_batch.knn_rounds, offline_stats.knn_rounds);
+  EXPECT_EQ(s.search_batch.knn_candidates, offline_stats.knn_candidates);
+  EXPECT_NE(stats_text.find("\"knn_rounds\": " +
+                            std::to_string(offline_stats.knn_rounds)),
+            std::string::npos)
+      << stats_text;
+  EXPECT_NE(stats_text.find("\"knn_candidates\": "), std::string::npos);
+  const storage::BufferStats served_pool = (*stack)->pool()->AggregateStats();
+  EXPECT_EQ(served_pool.requests, offline_pool.requests);
+  EXPECT_EQ(served_pool.hits, offline_pool.hits);
+  EXPECT_EQ(served_pool.misses, offline_pool.misses);
+  EXPECT_EQ(served_pool.evictions, offline_pool.evictions);
+  ASSERT_TRUE((*stack)->Close().ok());
+}
+
+// The largest k whose reply fits one frame is served; one more is a typed
+// error, and the connection keeps its framing.
+TEST(ServerTest, KnnKAtTheFrameCap) {
+  auto stack = ServingStack::Open(SmallSpec(/*n=*/70000, /*pool_pages=*/64));
+  ASSERT_TRUE(stack.ok()) << stack.status().ToString();
+  ServerOptions options;
+  options.max_wait_us = 200;
+  Server server(stack->get(), options);
+  ASSERT_TRUE(server.Start().ok());
+  ServeThread serving(&server);
+
+  auto client = Client::Connect(server.port());
+  ASSERT_TRUE(client.ok());
+  const Point p{0.3, 0.6};
+  auto full = (*client)->WaitFor((*client)->QueueKnn(p, kMaxKnnK));
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_TRUE(full->ok()) << full->text;
+  ASSERT_EQ(full->neighbors.size(), kMaxKnnK);
+
+  auto over = (*client)->WaitFor((*client)->QueueKnn(p, kMaxKnnK + 1));
+  ASSERT_TRUE(over.ok()) << over.status().ToString();
+  EXPECT_FALSE(over->ok());
+  EXPECT_NE(over->text.find("KNN k must be <="), std::string::npos)
+      << over->text;
+
+  auto after = (*client)->WaitFor((*client)->QueueKnn(p, 3));
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_TRUE(after->ok());
+  EXPECT_EQ(after->neighbors.size(), 3u);
+
+  serving.Stop();
+  ASSERT_TRUE(serving.status().ok());
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.protocol_errors, 1u);
+  EXPECT_EQ(s.malformed_disconnects, 0u);
+
+  // The served distances are the best-first search's.
+  auto oracle = rtree::SearchKnn(*(*stack)->tree(), p, kMaxKnnK);
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_EQ(oracle->size(), full->neighbors.size());
+  for (size_t i = 0; i < oracle->size(); ++i) {
+    ASSERT_EQ(full->neighbors[i].distance, (*oracle)[i].distance) << i;
+  }
   ASSERT_TRUE((*stack)->Close().ok());
 }
 

@@ -7,7 +7,7 @@
 # build-checks/<name> so the developer's main build/ tree is untouched.
 #
 #   tools/run_checks.sh            # the full matrix
-#   tools/run_checks.sh release    # one of: release | tsan | asan | ubsan | storage | update | durability | server | workload
+#   tools/run_checks.sh release    # one of: release | tsan | asan | ubsan | storage | update | durability | server | workload | batch
 #
 # `storage` is a fast focused leg: it reuses the release build and runs only
 # the `storage`-labeled tests (page stores, the serial and sharded buffer
@@ -18,6 +18,11 @@
 # (batched insert/delete execution and the write-side fault injection) —
 # the suite to iterate on when touching the update executor or the
 # writeback path.
+#
+# `batch` reuses the release build and runs the `batch`-labeled tests (the
+# level-synchronous search executor with its kNN rounds, the scan kernels,
+# batched updates, and the SearchKnn oracle) — the suite to iterate on when
+# touching src/rtree/batch.* or the scan kernels.
 #
 # `durability` reuses the release build and runs the `durability`-labeled
 # tests (WAL framing, group commit, crash-point recovery). The ctest
@@ -45,8 +50,8 @@
 # in every run. All six benches run and report even when an earlier one
 # fails; the leg then exits non-zero naming every failed bench.
 #
-# The release tree (shared by the release, storage, update, durability and
-# workload legs) builds with -DRTB_WERROR=ON, so a new warning fails the
+# The release tree (shared by the release, storage, update, batch,
+# durability and workload legs) builds with -DRTB_WERROR=ON, so a new warning fails the
 # check instead of scrolling by in the build log.
 #
 # Sanitizer builds skip the benchmarks (RTB_BUILD_BENCHMARKS=OFF) — they
@@ -59,9 +64,9 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 ONLY="${1:-all}"
 
 case "$ONLY" in
-  all|release|tsan|asan|ubsan|storage|update|durability|server|workload) ;;
+  all|release|tsan|asan|ubsan|storage|update|durability|server|workload|batch) ;;
   *)
-    echo "unknown configuration: $ONLY (expected release|tsan|asan|ubsan|storage|update|durability|server|workload)" >&2
+    echo "unknown configuration: $ONLY (expected release|tsan|asan|ubsan|storage|update|durability|server|workload|batch)" >&2
     exit 2
     ;;
 esac
@@ -131,6 +136,12 @@ if wants update; then
   echo "==> update"
   configure_and_build "$ROOT/build-checks/release" -DRTB_WERROR=ON
   (cd "$ROOT/build-checks/release" && ctest -L update --output-on-failure)
+fi
+
+if wants batch; then
+  echo "==> batch"
+  configure_and_build "$ROOT/build-checks/release" -DRTB_WERROR=ON
+  (cd "$ROOT/build-checks/release" && ctest -L batch --output-on-failure)
 fi
 
 if wants durability; then
