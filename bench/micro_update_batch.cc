@@ -17,6 +17,12 @@
 // Both hand the pool's page-id-sorted flush to FilePageStore::WriteBatch,
 // which coalesces runs of consecutive page ids into pwritev.
 //
+//   * batched_workers1 / batched_workers4 — drain size `batch` on the
+//     serving pool's shape (8 shards of 32 frames), the executor's reads
+//     (descent levels, read round of the target pages) on a LevelScheduler
+//     of 1 or 4 workers. The two rows must agree on pins, writes, entries
+//     and the store bytes; they are not in the committed baseline.
+//
 // Reported per measured op: pool pin requests (the pin-economy claim),
 // page writes (the paper's disk-write metric), and write syscalls
 // (writes - batch_pages + batches; the number the two batching layers
@@ -33,8 +39,10 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "rtree/level_scheduler.h"
 #include "rtree/update_batch.h"
 #include "rtree/validate.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace rtb::bench {
 namespace {
@@ -53,7 +61,23 @@ struct Measurement {
   uint64_t write_syscalls = 0;
   uint64_t entries = 0;        // Checksum: data entries after the run.
   uint64_t deletes_found = 0;  // Checksum: every delete must land.
+  uint64_t store_hash = 0;     // Checksum: FNV-1a of every store page.
 };
+
+// The sharded rows' pool: the serving stack's shape (256 frames, 8 shards).
+constexpr uint64_t kShards = 8;
+constexpr uint64_t kShardedPoolPages = 256;
+
+// FNV-1a over every page of `store`.
+uint64_t StoreHash(storage::PageStore* store) {
+  std::vector<uint8_t> page(store->page_size());
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (storage::PageId id = 0; id < store->num_pages(); ++id) {
+    RTB_CHECK(store->Read(id, page.data()).ok());
+    for (const uint8_t b : page) h = (h ^ b) * 0x100000001b3ULL;
+  }
+  return h;
+}
 
 // Precomputes the shared op stream. Deletes draw victims from the
 // not-yet-deleted bulk-load entries only (ids are dataset indexes, the
@@ -84,13 +108,15 @@ std::vector<UpdateOp> MakeOps(uint64_t n, const std::vector<Rect>& rects,
 }
 
 // Replays `ops` against a fresh bulk load of `rects`, draining the
-// executor and flushing the pool every `drain` ops. Store and pool
-// counters are reset after warm-up, so the reported I/O covers the
-// measured ops only.
+// executor and flushing the pool every `drain` ops. The pool is a serial
+// one of `buffer_pages` frames when `workers` is 0, else the sharded
+// kShardedPoolPages-frame pool with the executor's reads on `workers`
+// workers. Store and pool counters are reset after warm-up, so the reported
+// I/O covers the measured ops only.
 Measurement RunVariant(const std::string& path, const std::vector<Rect>& rects,
                        const std::vector<UpdateOp>& ops, uint32_t fanout,
-                       uint64_t drain, uint64_t buffer_pages,
-                       uint64_t warmup) {
+                       uint64_t drain, uint64_t buffer_pages, uint64_t warmup,
+                       size_t workers = 0) {
   std::remove(path.c_str());
   auto store = storage::FilePageStore::Create(path);
   RTB_CHECK(store.ok());
@@ -102,11 +128,18 @@ Measurement RunVariant(const std::string& path, const std::vector<Rect>& rects,
   Measurement m;
   double seconds = 0.0;
   {
-    auto pool = storage::BufferPool::MakeLru(store->get(), buffer_pages);
+    std::unique_ptr<storage::PageCache> pool;
+    if (workers == 0) {
+      pool = storage::BufferPool::MakeLru(store->get(), buffer_pages);
+    } else {
+      pool = storage::ShardedBufferPool::MakeLru(store->get(),
+                                                 kShardedPoolPages, kShards);
+    }
     auto tree = rtree::RTree::Open(pool.get(), config, built->root,
                                    built->height);
     RTB_CHECK(tree.ok());
-    rtree::UpdateBatchExecutor executor(&*tree);
+    rtree::LevelScheduler scheduler(pool.get(), std::max<size_t>(1, workers));
+    rtree::UpdateBatchExecutor executor(&*tree, &scheduler);
     rtree::UpdateBatchStats ustats;
 
     auto run_phase = [&](size_t begin, size_t end) {
@@ -130,7 +163,7 @@ Measurement RunVariant(const std::string& path, const std::vector<Rect>& rects,
     const auto end = std::chrono::steady_clock::now();
     seconds = std::chrono::duration<double>(end - start).count();
 
-    m.pins_per_op = static_cast<double>(pool->stats().requests);
+    m.pins_per_op = static_cast<double>(pool->AggregateStats().requests);
     m.deletes_found = ustats.deletes_found;
     RTB_CHECK(pool->Close().ok());
   }
@@ -140,6 +173,7 @@ Measurement RunVariant(const std::string& path, const std::vector<Rect>& rects,
                                           {.check_min_fill = false});
   RTB_CHECK(report.ok);
   m.entries = report.num_data_entries;
+  m.store_hash = StoreHash(store->get());
   m.writes = io.writes;
   m.write_batches = io.write_batches;
   m.write_syscalls = io.WriteSyscalls();
@@ -241,6 +275,22 @@ int Run(int argc, char** argv) {
   if (batch >= 64) {
     RTB_CHECK(batched.syscalls_per_op * 2.0 <= serial.syscalls_per_op);
   }
+
+  // The update reads split over 4 workers by shard: the same pool
+  // accesses, writes and tree as on one worker.
+  const Measurement workers1 = RunVariant(path, rects, ops, fanout, batch,
+                                          buffer_pages, warmup, 1);
+  const Measurement workers4 = RunVariant(path, rects, ops, fanout, batch,
+                                          buffer_pages, warmup, 4);
+  RTB_CHECK(workers1.entries == serial.entries);
+  RTB_CHECK(workers1.deletes_found == serial.deletes_found);
+  RTB_CHECK(workers4.pins_per_op == workers1.pins_per_op);
+  RTB_CHECK(workers4.writes == workers1.writes);
+  RTB_CHECK(workers4.entries == workers1.entries);
+  RTB_CHECK(workers4.deletes_found == workers1.deletes_found);
+  RTB_CHECK(workers4.store_hash == workers1.store_hash);
+  add("batched_workers1", workers1, serial);
+  add("batched_workers4", workers4, serial);
 
   table.Print();
   if (!report.WriteFile(flags.GetString("json"))) return 1;

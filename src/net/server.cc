@@ -61,9 +61,12 @@ Server::Server(ServingStack* stack, ServerOptions options)
   options_.max_batch = std::max<uint32_t>(1, options_.max_batch);
   options_.max_inflight = std::max<uint32_t>(1, options_.max_inflight);
   options_.max_queue = std::max(options_.max_queue, options_.max_batch);
-  search_exec_ = std::make_unique<rtree::BatchExecutor>(
-      stack->tree(), options_.search_workers);
-  update_exec_ = std::make_unique<rtree::UpdateBatchExecutor>(stack->tree());
+  scheduler_ = std::make_unique<rtree::LevelScheduler>(
+      stack->pool(), options_.search_workers);
+  search_exec_ = std::make_unique<rtree::BatchExecutor>(stack->tree(),
+                                                        scheduler_.get());
+  update_exec_ = std::make_unique<rtree::UpdateBatchExecutor>(
+      stack->tree(), scheduler_.get());
 }
 
 Server::~Server() {
@@ -659,7 +662,14 @@ report::JsonDict Server::StatsJson() const {
   doc.PutDict("server", std::move(server));
 
   report::JsonDict batch;
-  batch.PutInt("search_workers", search_exec_->workers());
+  batch.PutInt("search_workers", scheduler_->workers());
+  // What the level scheduler did: levels split over the workers, shards
+  // each worker claimed (the serving thread first), and the serving
+  // thread's wait at those levels' barriers.
+  const rtree::SchedulerStats sched = scheduler_->stats();
+  batch.PutInt("parallel_levels", sched.parallel_levels);
+  batch.PutIntArray("shard_claims", sched.shard_claims);
+  batch.PutInt("barrier_wait_us", sched.barrier_wait_us);
   batch.PutInt("search_node_accesses", stats_.search_batch.node_accesses);
   batch.PutInt("search_page_visits", stats_.search_batch.page_visits);
   // Rounds per kNN is knn_rounds / server.knns; a round is one level pass.
@@ -670,6 +680,10 @@ report::JsonDict Server::StatsJson() const {
   batch.PutInt("update_deletes_missing", stats_.update_batch.deletes_missing);
   batch.PutInt("update_node_accesses", stats_.update_batch.node_accesses);
   batch.PutInt("update_pages_mutated", stats_.update_batch.pages_mutated);
+  batch.PutInt("update_splits", stats_.update_batch.splits);
+  batch.PutInt("update_condensed", stats_.update_batch.condensed_nodes);
+  batch.PutInt("update_passes", stats_.update_batch.passes);
+  batch.PutInt("update_commits", stats_.update_batch.commits);
   doc.PutDict("executor", std::move(batch));
 
   const storage::BufferStats bs = stack_->pool()->AggregateStats();
@@ -681,8 +695,8 @@ report::JsonDict Server::StatsJson() const {
   pool.PutInt("writebacks", bs.writebacks);
   pool.PutNum("hit_rate", bs.HitRate());
   pool.PutInt("shards", stack_->pool()->num_shards());
-  // Shard-lock acquisitions that found the lock held: the search workers
-  // own disjoint shards within a level, so this stays near 0.
+  // Shard-lock acquisitions that found the lock held: the workers walk
+  // disjoint shards within a level, so this stays near 0.
   pool.PutInt("lock_waits", stack_->pool()->lock_waits());
   doc.PutDict("pool", std::move(pool));
 

@@ -12,20 +12,24 @@
 //   1. updates   — one UpdateBatchExecutor::Run over every INSERT/DELETE
 //                  in arrival order; with a WAL attached the run commits
 //                  (group-commit window applies) before any reply is
-//                  encoded, so an acked update is logged-committed;
+//                  encoded, so an acked update is logged-committed. Its
+//                  page reads (the descent levels and the read round of the
+//                  target pages) run on the same workers as the searches;
+//                  every change to the tree stays on the serving thread;
 //   2. searches  — one BatchExecutor::Run over every SEARCH rectangle and
 //                  every KNN, observing this drain's updates. A KNN rides
 //                  the same level pass as the square of the radius
 //                  ServingStack::knn_radius() expects to hold k objects;
 //                  one whose k-th neighbour may lie outside its square
 //                  takes another pass. Each tree level's page runs are
-//                  split by buffer shard over ServerOptions::search_workers
-//                  threads (the serving thread and parked helpers), and
+//                  bucketed by buffer shard, and ServerOptions::
+//                  search_workers threads (the serving thread and parked
+//                  helpers of one rtree::LevelScheduler) claim the shards;
 //                  the serving thread waits for the level to finish;
 //   3. stats     — answered from the counters after 1-2.
 //
-// Everything but the search levels — admission, updates, STATS and reply
-// encoding — runs on the serving thread.
+// Everything but the level walks — admission, applying updates, STATS and
+// reply encoding — runs on the serving thread.
 //
 // Replies are encoded into per-connection output buffers and flushed with
 // nonblocking writes (EPOLLOUT on short writes), out-of-order across
@@ -60,6 +64,7 @@
 #include "net/serving.h"
 #include "report/json.h"
 #include "rtree/batch.h"
+#include "rtree/level_scheduler.h"
 #include "rtree/update_batch.h"
 #include "util/result.h"
 
@@ -80,8 +85,9 @@ struct ServerOptions {
   uint32_t max_queue = 4096;
   /// listen(2) backlog.
   int backlog = 256;
-  /// Threads each search drain's tree levels run on (the serving thread plus
-  /// search_workers - 1 helpers; clamped to the pool's shard count).
+  /// Threads each drain's tree levels run on — the search levels and the
+  /// update reads (the serving thread plus search_workers - 1 helpers;
+  /// clamped to the pool's shard count).
   size_t search_workers = rtree::DefaultSearchWorkers();
 };
 
@@ -135,8 +141,8 @@ class Server {
   /// The bound port (valid after Start; equals options.port unless 0).
   uint16_t port() const { return port_; }
 
-  /// Threads the search levels run on (search_workers after clamping).
-  size_t search_workers() const { return search_exec_->workers(); }
+  /// Threads the tree levels run on (search_workers after clamping).
+  size_t search_workers() const { return scheduler_->workers(); }
 
   /// Runs the admission loop until RequestShutdown(). Returns OK after a
   /// graceful drain; an error only for unrecoverable executor/epoll
@@ -222,6 +228,9 @@ class Server {
   // Connections closed this iteration: (os fd still open, dead object).
   std::vector<std::pair<int, std::unique_ptr<Connection>>> dead_conns_;
   std::vector<Pending> queue_;
+  // One level scheduler for both executors: its helpers serve the search
+  // levels and the update reads.
+  std::unique_ptr<rtree::LevelScheduler> scheduler_;
   std::unique_ptr<rtree::BatchExecutor> search_exec_;
   std::unique_ptr<rtree::UpdateBatchExecutor> update_exec_;
 

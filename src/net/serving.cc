@@ -31,14 +31,17 @@ Result<std::unique_ptr<ServingStack>> ServingStack::Open(
   RTB_ASSIGN_OR_RETURN(storage::PolicyKind kind,
                        engine::ParsePolicyKind(effective.pool.policy));
   // A sharded pool of about kFramesPerShard frames per shard, at most
-  // kMaxShards of them: the search executor splits each level's page
-  // runs over its workers by shard, and because every shard sees the same
-  // accesses whatever the worker count, the pool's counters do not depend
-  // on it.
+  // kMaxShards of them, and one shard below kMinShardedPages frames: the
+  // server's workers claim each level's page runs by shard, and because
+  // every shard sees the same accesses whatever the worker count, the
+  // pool's counters do not depend on it.
   const uint64_t pages = effective.pool.buffer_pages;
   storage::ShardedBufferPool::Options options;
-  options.num_shards = std::clamp<uint64_t>(
-      pages / ServingStack::kFramesPerShard, 1, ServingStack::kMaxShards);
+  options.num_shards =
+      pages < ServingStack::kMinShardedPages
+          ? 1
+          : std::clamp<uint64_t>(pages / ServingStack::kFramesPerShard, 1,
+                                 ServingStack::kMaxShards);
   options.policy = kind;
   options.seed = effective.run.seed;
   stack->pool_ = std::make_unique<storage::ShardedBufferPool>(

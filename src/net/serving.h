@@ -4,10 +4,10 @@
 //
 // Open() runs engine::PrepareTree (build the dataset into a store, or open
 // a persistent index), fronts the store with a ShardedBufferPool of about
-// kFramesPerShard frames per shard (256 frames give 4 shards; at most 16) —
-// the search executor splits each level's page runs over its worker
-// threads by shard, and since each shard sees the same accesses whatever
-// the worker count, the pool's counters stay reproducible — pins the
+// kFramesPerShard frames per shard (256 frames give 8 shards; at most 16) —
+// the server's level scheduler has its workers claim each level's shards,
+// and since each shard sees the same accesses whatever the worker count,
+// the pool's counters stay reproducible — pins the
 // requested top levels, sizes the kNN radius estimator (rtree::KnnRadius)
 // from the tree's summary, and, when the spec enables it, starts the WAL the
 // way engine::Run does: sync the bulk-loaded store, create the log, write a
@@ -41,12 +41,20 @@ namespace rtb::net {
 /// Close() must come from one thread at a time.
 class ServingStack {
  public:
-  /// Frames per pool shard; a pool smaller than two shards' worth has one
-  /// shard, and a pool larger than kMaxShards shards' worth has kMaxShards
-  /// larger ones. At 64, the 256-frame serving pool has one shard per
-  /// search worker; 32 (8 shards) was no faster, split more reads at shard
-  /// boundaries and let a shard run out of no-steal frames (EXPERIMENTS.md).
-  static constexpr uint64_t kFramesPerShard = 64;
+  /// Frames per pool shard; a pool smaller than kMinShardedPages frames has
+  /// one shard, and a pool larger than kMaxShards shards' worth has
+  /// kMaxShards larger ones. At 32 the 256-frame serving pool has 8 shards for 4
+  /// workers, so the workers that start a level first claim the shards a
+  /// late one would have walked. Under the earlier fixed shard-to-worker
+  /// split, 32 was no faster than 64 (one shard per worker): a late worker
+  /// still owned its shards (EXPERIMENTS.md).
+  static constexpr uint64_t kFramesPerShard = 32;
+  /// Smallest pool that is sharded. Below it a second shard splits a
+  /// one-query drain's fetch windows at shard boundaries and adds lock
+  /// stretches while there is little for the claims to balance: one
+  /// worker on a 64-frame pool read 7.1 us per query at two shards against
+  /// 6.6 us at one (CHANGES.md), so micro_server_qps's pool keeps one.
+  static constexpr uint64_t kMinShardedPages = 128;
   /// Shard cap: at 16 shards two concurrent fetches land on the same shard
   /// less than ~6% of the time.
   static constexpr uint64_t kMaxShards = 16;

@@ -96,6 +96,17 @@ void JsonDict::PutDictArray(const std::string& key,
   fields_.emplace_back(key, std::move(out));
 }
 
+void JsonDict::PutIntArray(const std::string& key,
+                           const std::vector<uint64_t>& values) {
+  std::string out = "[";
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += std::to_string(values[i]);
+  }
+  out += "]";
+  fields_.emplace_back(key, std::move(out));
+}
+
 bool JsonDict::Has(const std::string& key) const {
   for (const auto& [k, v] : fields_) {
     if (k == key) return true;

@@ -24,7 +24,8 @@ namespace rtb::report {
 /// An insertion-ordered flat JSON object of string/number/bool fields.
 /// Distinct method names per type sidestep the const char* -> bool overload
 /// trap. Nested objects and arrays of objects are supported through
-/// PutDict / PutDictArray (values are rendered at Put time).
+/// PutDict / PutDictArray, and arrays of integers through PutIntArray
+/// (values are rendered at Put time).
 class JsonDict {
  public:
   void PutStr(const std::string& key, const std::string& value);
@@ -38,6 +39,10 @@ class JsonDict {
   /// Nests `[v0, v1, ...]` under `key`.
   void PutDictArray(const std::string& key,
                     const std::vector<JsonDict>& values);
+
+  /// `[n0, n1, ...]` under `key`.
+  void PutIntArray(const std::string& key,
+                   const std::vector<uint64_t>& values);
 
   bool Has(const std::string& key) const;
   size_t size() const { return fields_.size(); }

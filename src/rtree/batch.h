@@ -34,21 +34,22 @@
 // (including the 1-frame pool) it degrades to fetch-scan-release per page,
 // so any pool capacity >= 1 works, exactly like the serial search.
 //
-// Workers. Each level's runs are bucketed by buffer shard
-// (PageCache::ShardOf), keeping the elevator order within a shard, and every
-// window is drawn from one shard. With W workers, worker w walks the runs of
-// shards s = w, w + W, w + 2W, ...; the calling thread is worker 0 and the
-// W - 1 helper threads, started once per executor, park between levels.
-// Each worker scans into its own scratch and buffers its next-level items
-// and leaf hits, which worker 0 merges at the level barrier. Shards share
-// no frames, policy or counters, and every shard is walked by one worker
-// in the same order whatever W is, so each shard sees the same sequence of
-// pins, reads and releases: results, node accesses, page visits and every
-// BufferStats counter are identical for any worker count. A level with
-// too few runs to pay for waking the helpers (every level of a one-query
-// batch) runs inline on the caller in sweep order, its windows spanning
-// shards as on a serial pool; that choice depends on the run count alone,
-// so it too is the same for any worker count.
+// Workers. Each level's runs go to a LevelScheduler (level_scheduler.h),
+// the executor's own or one shared with an UpdateBatchExecutor. A level of
+// at least LevelScheduler::kMinParallelRuns runs is bucketed by buffer shard
+// (PageCache::ShardOf), keeping the elevator order within a shard, and the
+// scheduler's workers claim whole shards, largest first; every window is
+// drawn from one shard. Each worker scans into its own scratch and buffers
+// its next-level items and leaf hits, which the calling thread merges after
+// the level. Shards share no frames, policy or counters, and every shard is
+// walked by one worker in the same order whatever the worker count and
+// whichever worker claims it, so each shard sees the same sequence of pins,
+// reads and releases: results, node accesses, page visits and every
+// BufferStats counter are identical for any worker count. A level with too
+// few runs to pay for waking the helpers (every level of a one-query batch)
+// runs inline on the caller in sweep order, its windows spanning shards as on
+// a serial pool; that choice depends on the run count alone, so it too is the
+// same for any worker count.
 //
 // kNN. A Run can carry kNN queries beside its rectangles; each becomes a
 // region query, the square of half-side r around its point (r from the
@@ -66,17 +67,16 @@
 #ifndef RTB_RTREE_BATCH_H_
 #define RTB_RTREE_BATCH_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "geom/point.h"
 #include "rtree/knn.h"
+#include "rtree/level_scheduler.h"
 #include "rtree/node.h"
 #include "rtree/rtree.h"
 #include "rtree/scan_kernel.h"
@@ -107,29 +107,33 @@ struct KnnQuery {
   double radius = 0.0;
 };
 
-/// The worker count the server and the experiment engine hand to a
-/// BatchExecutor: min(4, hardware threads), at least 1. The executor then
-/// clamps it to the pool's shard count.
+/// The worker count the server hands its LevelScheduler and the experiment
+/// engine hands a BatchExecutor: min(4, hardware threads), at least 1. The
+/// scheduler then clamps it to the pool's shard count.
 size_t DefaultSearchWorkers();
 
 /// Executes batches of region queries against one tree. Holds reusable
-/// frontier and gather scratch and its own helper threads; the executor
-/// itself is not thread-safe (one Run at a time). The underlying pool must
-/// be thread-safe if executors run concurrently, or if `workers` > 1.
+/// frontier and gather scratch; the executor itself is not thread-safe (one
+/// Run at a time). The underlying pool must be thread-safe if executors run
+/// concurrently, or if the scheduler has more than one worker.
 class BatchExecutor {
  public:
-  /// The executor does not own `tree`; it must outlive the executor.
-  /// `workers` is clamped to [1, pool shards]: a level's shards are split
-  /// over that many threads (the caller plus `workers - 1` helpers started
-  /// here). workers > 1 needs an internally synchronized pool.
+  /// The executor does not own `tree`; it must outlive the executor. The
+  /// executor runs its levels on a scheduler of its own with `workers`
+  /// workers, clamped to [1, pool shards] (the caller plus `workers - 1`
+  /// helpers started here). workers > 1 needs an internally synchronized
+  /// pool.
   explicit BatchExecutor(const RTree* tree, size_t workers = 1);
-  ~BatchExecutor();
+  /// Runs the levels on `scheduler`, which must serve the tree's pool and
+  /// outlive the executor, and may be shared with other executors that do
+  /// not run at the same time.
+  BatchExecutor(const RTree* tree, LevelScheduler* scheduler);
 
   BatchExecutor(const BatchExecutor&) = delete;
   BatchExecutor& operator=(const BatchExecutor&) = delete;
 
-  /// Threads a level runs on (after clamping).
-  size_t workers() const { return workers_.size(); }
+  /// Threads a level runs on.
+  size_t workers() const { return scheduler_->workers(); }
 
   /// Runs every query in `queries` and fills `results` (resized to
   /// queries.size(); results->at(i) holds the ids matching queries[i], in
@@ -165,18 +169,9 @@ class BatchExecutor {
     return static_cast<uint32_t>(item);
   }
 
-  // One coalesced run of frontier items sharing a page: frontier_[begin,
-  // end) all reference `page`.
-  struct PageRun {
-    storage::PageId page = storage::kInvalidPageId;
-    uint32_t begin = 0;
-    uint32_t end = 0;
-    uint32_t shard = 0;  // pool_->ShardOf(page), set when regrouping.
-  };
-
   // One worker's private scratch. Worker 0 (the caller) appends leaf hits
   // and kNN candidates straight to the results and next-level items to
-  // next_; helpers buffer theirs here until the level barrier.
+  // next_; helpers buffer theirs here until the level's merge.
   struct Worker {
     ScanScratch scratch;
     std::vector<uint32_t> match_idx;
@@ -184,8 +179,10 @@ class BatchExecutor {
     std::vector<uint64_t> next;
     std::vector<std::pair<uint32_t, ObjectId>> hits;
     std::vector<std::pair<uint32_t, Neighbor>> candidates;  // (kNN, hit).
-    Status status;
   };
+
+  // Sizes the per-worker scratch to the scheduler.
+  void Init();
 
   // Scans the already-pinned page for the frontier run [begin, end) (all
   // items share the page). Leaf matches of a region query go to `results`
@@ -195,49 +192,26 @@ class BatchExecutor {
                    const PageRun& run, std::vector<uint64_t>* next,
                    std::vector<std::vector<ObjectId>>* results);
 
-  // Fetches and scans the runs [runs, runs + w): a windowed FetchBatch
-  // when w > 1, degrading to fetch-scan-release per page when the
-  // multi-get fails (pool too small) or w == 1.
-  Status ScanWindow(Worker* wk, const PageRun* runs, size_t w,
-                    std::vector<uint64_t>* next,
-                    std::vector<std::vector<ObjectId>>* results);
+  // The scheduler's walk: fetches and scans `runs` on worker `w`.
+  Status WalkRuns(size_t w, std::span<const PageRun> runs);
 
-  // Walks the runs [runs, runs + n) in window-sized steps.
-  Status WalkRuns(Worker* wk, const PageRun* runs, size_t n,
-                  std::vector<uint64_t>* next,
-                  std::vector<std::vector<ObjectId>>* results);
-
-  // Walks the runs of shards first, first + stride, ... of by_shard_.
-  // Worker 0 passes next_ and the results; helpers their buffers.
-  Status WalkShards(Worker* wk, size_t first, size_t stride,
-                    std::vector<uint64_t>* next,
-                    std::vector<std::vector<ObjectId>>* results);
+  // The scheduler's merge: folds helper `w`'s buffers into the level.
+  void MergeWorker(size_t w);
 
   // Runs the level pass from frontier_ down to the leaves, walking each
   // level's runs high-to-low when `reverse`; accumulates into `stats`.
-  Status RunLevels(bool reverse, std::vector<std::vector<ObjectId>>* results,
-                   BatchStats* stats);
-
-  // Body of helper thread `w`: parks until the next level (or shutdown),
-  // walks its shards, reports completion.
-  void HelperLoop(size_t w);
-
-  // Wakes every helper to exit and joins it.
-  void StopHelpers();
+  Status RunLevels(bool reverse, BatchStats* stats);
 
   const RTree* tree_;
   storage::PageCache* pool_;
   size_t page_size_;
-  size_t num_shards_;
-  // Pages per fetch window: min(8, shard frames / 4), at least 1.
+  // Pages per fetch window (FetchWindow).
   size_t window_;
+  std::unique_ptr<LevelScheduler> own_scheduler_;
+  LevelScheduler* scheduler_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  // Level hand-off: the caller publishes the level (queries_, by_shard_,
-  // shard_begin_), sets pending_ to the helper count and bumps generation_;
-  // each helper walks its shards and decrements pending_.
-  std::atomic<uint32_t> generation_{0};
-  std::atomic<uint32_t> pending_{0};
-  std::atomic<bool> stop_{false};
+  // The Run's results, which worker 0 appends to.
+  std::vector<std::vector<ObjectId>>* results_ = nullptr;
   // The pass being run, read only during Run(): the region queries'
   // rectangles, then one square per kNN (query num_rects_ + j is kNN j).
   std::vector<geom::Rect> queries_;
@@ -255,11 +229,6 @@ class BatchExecutor {
   std::vector<uint64_t> frontier_;
   std::vector<uint64_t> next_;
   std::vector<PageRun> runs_;
-  // runs_ regrouped by shard (stable, so each shard keeps the sweep
-  // order): shard s owns by_shard_[shard_begin_[s], shard_begin_[s + 1]).
-  std::vector<PageRun> by_shard_;
-  std::vector<uint32_t> shard_begin_;
-  std::vector<uint32_t> shard_fill_;
   // Elevator sweep: consecutive batches walk the sorted frontier in
   // alternating directions, so a sweep starts with the pages the previous
   // one finished on — the part of the working set an LRU pool still holds.
@@ -267,8 +236,6 @@ class BatchExecutor {
   // (sequential flooding) and turn repeat visits across batches into
   // misses; see DESIGN.md §10.
   bool reverse_sweep_ = false;
-  // Last: the helpers use every member above.
-  std::vector<std::thread> helpers_;
 };
 
 }  // namespace rtb::rtree

@@ -12,16 +12,24 @@ using geom::Rect;
 using storage::PageGuard;
 using storage::PageId;
 
-namespace {
-
-// Same bound and rationale as BatchExecutor's fetch window: keep the
-// multi-get small so the pinned window never starves a small pool.
-constexpr size_t kMaxFetchWindow = 8;
-
-}  // namespace
-
 UpdateBatchExecutor::UpdateBatchExecutor(RTree* tree) : tree_(tree) {
   RTB_CHECK(tree_ != nullptr);
+  own_scheduler_ = std::make_unique<LevelScheduler>(tree_->pool_, 1);
+  scheduler_ = own_scheduler_.get();
+  Init();
+}
+
+UpdateBatchExecutor::UpdateBatchExecutor(RTree* tree,
+                                         LevelScheduler* scheduler)
+    : tree_(tree), scheduler_(scheduler) {
+  RTB_CHECK(tree_ != nullptr && scheduler_ != nullptr);
+  RTB_CHECK(scheduler_->pool() == tree_->pool_);
+  Init();
+}
+
+void UpdateBatchExecutor::Init() {
+  window_ = FetchWindow(*tree_->pool_);
+  workers_.resize(scheduler_->workers());
 }
 
 Status UpdateBatchExecutor::Run(std::span<const UpdateOp> ops,
@@ -75,6 +83,7 @@ Status UpdateBatchExecutor::Run(std::span<const UpdateOp> ops,
     // checkpoint (no-force); a crash from now until the next commit rolls
     // the tree back to exactly this op prefix.
     RTB_ASSIGN_OR_RETURN(const storage::Lsn lsn, pool->WalCommit());
+    ++local.commits;
     done += n;
     commits_.push_back(UpdateCommit{done, lsn, tree_->root_, tree_->height_});
   }
@@ -87,6 +96,7 @@ Status UpdateBatchExecutor::Run(std::span<const UpdateOp> ops,
     stats->splits += local.splits;
     stats->condensed_nodes += local.condensed_nodes;
     stats->passes += local.passes;
+    stats->commits += local.commits;
   }
   return Status::OK();
 }
@@ -163,19 +173,15 @@ Status UpdateBatchExecutor::RunPass(UpdateBatchStats* stats) {
 
   // Coalesce arrived items into per-page runs once; the level loop below
   // picks out each level's slice.
-  struct Run {
-    PageId page;
-    uint32_t begin;
-    uint32_t end;
-  };
-  std::vector<Run> runs;
+  targets_.clear();
   for (uint32_t k = 0; k < arrived_.size();) {
     const PageId page = ItemPage(arrived_[k]);
     uint32_t end = k + 1;
     while (end < arrived_.size() && ItemPage(arrived_[end]) == page) ++end;
-    runs.push_back(Run{page, k, end});
+    targets_.push_back(PageRun{page, k, end});
     k = end;
   }
+  Status status = ReadTargets();
 
   // Apply bottom-up, one level per round: processing a node only queues
   // updates for its parent one level up, so by the time a level is
@@ -183,27 +189,42 @@ Status UpdateBatchExecutor::RunPass(UpdateBatchStats* stats) {
   // per pass no matter how many operations and child updates land on it.
   // tree_->height_ is re-read each round because GrowRoot can raise it;
   // the new levels simply have nothing pending.
-  std::vector<Run> work;
-  for (uint16_t lvl = 0; lvl < tree_->height_; ++lvl) {
+  constexpr size_t kNoTarget = ~size_t{0};
+  struct Work {
+    PageId page;
+    size_t target;  // Index into targets_, or kNoTarget.
+  };
+  std::vector<Work> work;
+  for (uint16_t lvl = 0; status.ok() && lvl < tree_->height_; ++lvl) {
     work.clear();
-    for (const Run& r : runs) {
-      if (level_of_.at(r.page) == lvl) work.push_back(r);
+    for (size_t t = 0; t < targets_.size(); ++t) {
+      if (level_of_.at(targets_[t].page) == lvl) {
+        work.push_back(Work{targets_[t].page, t});
+      }
     }
     for (const auto& [page, updates] : child_updates_) {
       if (updates.empty() || level_of_.at(page) != lvl) continue;
       const bool seen = std::any_of(
           work.begin(), work.end(),
-          [page = page](const Run& r) { return r.page == page; });
-      if (!seen) work.push_back(Run{page, 0, 0});
+          [page = page](const Work& w) { return w.page == page; });
+      if (!seen) work.push_back(Work{page, kNoTarget});
     }
     std::sort(work.begin(), work.end(),
-              [](const Run& a, const Run& b) { return a.page < b.page; });
-    for (const Run& r : work) {
-      RTB_RETURN_IF_ERROR(ProcessNode(r.page, arrived_.data() + r.begin,
-                                      r.end - r.begin, stats));
+              [](const Work& a, const Work& b) { return a.page < b.page; });
+    for (const Work& w : work) {
+      if (w.target == kNoTarget) {
+        status = ProcessNode(w.page, nullptr, 0, nullptr, stats);
+      } else {
+        const PageRun& r = targets_[w.target];
+        status = ProcessNode(w.page, arrived_.data() + r.begin,
+                             r.end - r.begin, &reads_[w.target], stats);
+      }
+      if (!status.ok()) break;
     }
   }
-  return Status::OK();
+  // Read pins an error left held go back to the pool here.
+  reads_.clear();
+  return status;
 }
 
 Status UpdateBatchExecutor::Locate(UpdateBatchStats* stats) {
@@ -220,9 +241,27 @@ Status UpdateBatchExecutor::Locate(UpdateBatchStats* stats) {
     (pending_[i].target_level == root_level ? arrived_ : frontier_)
         .push_back(PackItem(root, i));
   }
-  const size_t window = std::min(
-      kMaxFetchWindow,
-      std::max<size_t>(1, pool->capacity() / pool->num_shards() / 4));
+  const LevelScheduler::WalkFn walk = [this, pool](
+                                          size_t w,
+                                          std::span<const PageRun> runs) {
+    Worker* wk = &workers_[w];
+    return FetchRuns(pool, runs, window_, &wk->window_ids,
+                     [this, wk](const PageGuard& guard, const PageRun& run) {
+                       return RouteItems(guard, run, wk);
+                     });
+  };
+  const LevelScheduler::MergeFn merge = [this](size_t w) {
+    Worker& wk = workers_[w];
+    for (const Route& r : wk.routes) {
+      parent_of_.emplace(r.child, r.slot);
+      level_of_.emplace(r.child, r.level);
+    }
+    next_.insert(next_.end(), wk.next.begin(), wk.next.end());
+    arrived_.insert(arrived_.end(), wk.arrived.begin(), wk.arrived.end());
+    wk.routes.clear();
+    wk.next.clear();
+    wk.arrived.clear();
+  };
 
   // One round per tree level; routing an internal page only emits items
   // one level down, so the frontier stays level-homogeneous.
@@ -231,70 +270,38 @@ Status UpdateBatchExecutor::Locate(UpdateBatchStats* stats) {
     next_.clear();
 
     // Distinct-page runs of the sorted frontier.
-    struct Run {
-      PageId page;
-      uint32_t begin;
-      uint32_t end;
-    };
-    std::vector<Run> runs;
+    runs_.clear();
     for (uint32_t k = 0; k < frontier_.size();) {
       const PageId page = ItemPage(frontier_[k]);
       uint32_t end = k + 1;
       while (end < frontier_.size() && ItemPage(frontier_[end]) == page) {
         ++end;
       }
-      runs.push_back(Run{page, k, end});
+      runs_.push_back(PageRun{page, k, end});
       stats->node_accesses += end - k;
       k = end;
     }
-
-    for (size_t p = 0; p < runs.size(); p += window) {
-      const size_t w = std::min(window, runs.size() - p);
-      bool done = false;
-      if (w > 1) {
-        window_ids_.clear();
-        for (size_t j = 0; j < w; ++j) window_ids_.push_back(runs[p + j].page);
-        Result<std::vector<PageGuard>> guards =
-            pool->FetchBatch(window_ids_.data(), w);
-        if (guards.ok()) {
-          for (size_t j = 0; j < w; ++j) {
-            RTB_RETURN_IF_ERROR(RouteItems((*guards)[j], runs[p + j].begin,
-                                           runs[p + j].end));
-            (*guards)[j].Release();
-          }
-          done = true;
-        }
-        // A failed multi-get (pool too small for the window) degrades to
-        // one page at a time, like BatchExecutor::ScanWindow.
-      }
-      if (!done) {
-        for (size_t j = 0; j < w; ++j) {
-          RTB_ASSIGN_OR_RETURN(PageGuard guard, pool->Fetch(runs[p + j].page));
-          RTB_RETURN_IF_ERROR(
-              RouteItems(guard, runs[p + j].begin, runs[p + j].end));
-        }
-      }
-    }
+    RTB_RETURN_IF_ERROR(scheduler_->Run(runs_, walk, merge));
     frontier_.swap(next_);
   }
   return Status::OK();
 }
 
-Status UpdateBatchExecutor::RouteItems(const PageGuard& guard, size_t begin,
-                                       size_t end) {
+Status UpdateBatchExecutor::RouteItems(const PageGuard& guard,
+                                       const PageRun& run, Worker* wk) {
   RTB_ASSIGN_OR_RETURN(
       Node node, DeserializeNode(guard.data(), tree_->pool_->page_size()));
   RTB_DCHECK(!node.is_leaf());
   const PageId page = guard.page_id();
   const uint16_t child_level = node.level - 1;
-  for (size_t k = begin; k < end; ++k) {
+  for (size_t k = run.begin; k < run.end; ++k) {
     const uint32_t q = ItemOp(frontier_[k]);
     const PendingOp& op = pending_[q];
     auto route = [&](const Entry& slot) {
       const PageId child = static_cast<PageId>(slot.id);
-      parent_of_.emplace(child, ParentSlot{page, slot.rect});
-      level_of_.emplace(child, child_level);
-      (child_level == op.target_level ? arrived_ : next_)
+      wk->routes.push_back(
+          Route{child, ParentSlot{page, slot.rect}, child_level});
+      (child_level == op.target_level ? wk->arrived : wk->next)
           .push_back(PackItem(child, q));
     };
     if (op.is_delete) {
@@ -310,16 +317,86 @@ Status UpdateBatchExecutor::RouteItems(const PageGuard& guard, size_t begin,
   return Status::OK();
 }
 
+Status UpdateBatchExecutor::ReadTargets() {
+  storage::PageCache* pool = tree_->pool_;
+  reads_.clear();
+  reads_.resize(targets_.size());
+  // A shard's reads are sized to the frames it can pin beside its permanent
+  // pins and uncommitted pages: fewer than half, so the apply's unread node
+  // and new sibling still find frames after the held pins (p reads with
+  // 2p + 1 <= pinnable), and a shard with fewer than three such frames
+  // reads nothing here. Which targets are read depends on each shard's
+  // state and targets alone, not on the workers.
+  shard_reads_.resize(pool->num_shards());
+  for (size_t s = 0; s < shard_reads_.size(); ++s) {
+    const size_t pinnable = pool->shard_pinnable_frames(s);
+    shard_reads_[s] = pinnable > 0 ? (pinnable - 1) / 2 : 0;
+  }
+  read_runs_.clear();
+  for (uint32_t t = 0; t < targets_.size(); ++t) {
+    size_t& left = shard_reads_[pool->ShardOf(targets_[t].page)];
+    if (left == 0) continue;
+    --left;
+    read_runs_.push_back(PageRun{targets_[t].page, t, t + 1});
+  }
+  if (read_runs_.empty()) return Status::OK();
+
+  const size_t page_size = pool->page_size();
+  // Whether the ops of `target` can change `node`: an insert always does; a
+  // page that only takes deletes changes only if it holds one's entry.
+  auto takes_change = [this](const Node& node, const PageRun& target) {
+    for (uint32_t k = target.begin; k < target.end; ++k) {
+      const PendingOp& op = pending_[ItemOp(arrived_[k])];
+      if (!op.is_delete) return true;
+      for (const Entry& e : node.entries) {
+        if (e.id == op.entry.id && e.rect == op.entry.rect) return true;
+      }
+    }
+    return false;
+  };
+  const LevelScheduler::WalkFn walk =
+      [&](size_t w, std::span<const PageRun> runs) {
+        return FetchRuns(
+            pool, runs, window_, &workers_[w].window_ids,
+            [&](PageGuard& guard, const PageRun& run) -> Status {
+              TargetRead& read = reads_[run.begin];
+              RTB_ASSIGN_OR_RETURN(read.node,
+                                   DeserializeNode(guard.data(), page_size));
+              if (takes_change(read.node, targets_[run.begin])) {
+                read.guard = std::move(guard);
+                read.state = TargetRead::State::kHeld;
+              } else {
+                read.state = TargetRead::State::kClean;
+              }
+              return Status::OK();
+            });
+      };
+  return scheduler_->Run(read_runs_, walk, [](size_t) {});
+}
+
 Status UpdateBatchExecutor::ProcessNode(PageId page, const uint64_t* items,
-                                        size_t nops,
+                                        size_t nops, TargetRead* read,
                                         UpdateBatchStats* stats) {
   storage::PageCache* pool = tree_->pool_;
   const size_t page_size = pool->page_size();
+  ++stats->node_accesses;
+  // A target the read round released takes only deletes of entries it does
+  // not hold. Deletes target leaves, which get no child updates, so the
+  // node stays as it is.
+  if (read != nullptr && read->state == TargetRead::State::kClean) {
+    return Status::OK();
+  }
   // A read pin: the page is dirtied (and so logged, committed and written
   // back) only through mutable_data(), once something below changed it.
-  RTB_ASSIGN_OR_RETURN(PageGuard guard, pool->Fetch(page));
-  RTB_ASSIGN_OR_RETURN(Node node, DeserializeNode(guard.data(), page_size));
-  ++stats->node_accesses;
+  PageGuard guard;
+  Node node;
+  if (read != nullptr && read->state == TargetRead::State::kHeld) {
+    guard = std::move(read->guard);
+    node = std::move(read->node);
+  } else {
+    RTB_ASSIGN_OR_RETURN(guard, pool->Fetch(page));
+    RTB_ASSIGN_OR_RETURN(node, DeserializeNode(guard.data(), page_size));
+  }
   bool changed = false;
 
   // 1. Target-level operations, in submission order (the arrived items are

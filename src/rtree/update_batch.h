@@ -37,6 +37,25 @@
 //     from the highest orphans when a round dissolves all of its children,
 //     and a single-child internal root is shrunk after the last pass.
 //
+// Reads and workers. The executor's page reads run on a LevelScheduler
+// (level_scheduler.h), its own or one shared with a BatchExecutor: each
+// Locate level, and after Locate a read round that fetches the pass's target
+// pages in windows (vectored, like the search) and decodes them. A level or
+// round of at least LevelScheduler::kMinParallelRuns pages is split by
+// buffer shard over the scheduler's workers; each shard is read by one
+// worker in page order, so the pool sees the same accesses per shard for any
+// worker count. The read round releases at once a page that only takes
+// deletes whose entries it does not hold (it stays clean) and keeps the
+// other pins, with the decoded nodes, for the apply. It reads fewer than
+// half of the frames a shard can pin beside its permanent pins and
+// uncommitted pages (PageCache::shard_pinnable_frames), so the apply's
+// unread node and new sibling still find frames; the pages past that are
+// fetched by the apply as before. Each page a pass touches is still requested once. Everything that
+// changes the tree — applying ops, resolving deletes, splits, page
+// allocation, condensation and parent updates — runs on the calling thread
+// in page order, so tree bytes, page ids and the WAL's image order do not
+// depend on the worker count.
+//
 // Slices and commits. With a WAL attached the pool is no-steal: every page
 // a batch dirties stays in the pool until the commit that logs it. A drain
 // whose dirty set would not fit is therefore applied in slices of
@@ -65,11 +84,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "geom/rect.h"
+#include "rtree/level_scheduler.h"
 #include "rtree/node.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
@@ -107,6 +128,7 @@ struct UpdateBatchStats {
   uint64_t splits = 0;           ///< Nodes split (k-way counts k-1).
   uint64_t condensed_nodes = 0;  ///< Underflowing nodes dissolved.
   uint64_t passes = 0;           ///< Locate/apply rounds incl. orphan passes.
+  uint64_t commits = 0;          ///< Slices committed (one per slice).
 };
 
 /// One commit of a Run(): how much of the batch it covers and the tree it
@@ -125,8 +147,17 @@ struct UpdateCommit {
 /// tree are not supported.
 class UpdateBatchExecutor {
  public:
-  /// The executor does not own `tree`; it must outlive the executor.
+  /// The executor does not own `tree`; it must outlive the executor. Its
+  /// reads run on the calling thread alone.
   explicit UpdateBatchExecutor(RTree* tree);
+  /// Runs the reads on `scheduler`, which must serve the tree's pool and
+  /// outlive the executor, and may be shared with other executors that do
+  /// not run at the same time. More than one worker needs an internally
+  /// synchronized pool.
+  UpdateBatchExecutor(RTree* tree, LevelScheduler* scheduler);
+
+  UpdateBatchExecutor(const UpdateBatchExecutor&) = delete;
+  UpdateBatchExecutor& operator=(const UpdateBatchExecutor&) = delete;
 
   /// Applies every operation in `ops` in submission order semantics (a
   /// delete locates against the batch-start tree and removes at most one
@@ -188,33 +219,67 @@ class UpdateBatchExecutor {
     return static_cast<uint32_t>(item);
   }
 
+  // A Locate-time fact about a child page, buffered by a worker until the
+  // level's merge: who routed to it, through which slot, and its level.
+  struct Route {
+    storage::PageId child = storage::kInvalidPageId;
+    ParentSlot slot;
+    uint16_t level = 0;
+  };
+
+  // One worker's Locate output for the current level, merged after it.
+  struct Worker {
+    std::vector<storage::PageId> window_ids;
+    std::vector<uint64_t> next;
+    std::vector<uint64_t> arrived;
+    std::vector<Route> routes;
+  };
+
+  // What the read round did with one target page: not read (the apply
+  // fetches it), read and released because it takes no change (kClean), or
+  // read and held with its decoded node for the apply (kHeld).
+  struct TargetRead {
+    enum class State : uint8_t { kUnread, kClean, kHeld };
+    State state = State::kUnread;
+    storage::PageGuard guard;
+    Node node;
+  };
+
+  // Sizes the per-worker scratch to the scheduler.
+  void Init();
+
   // Applies one slice of a batch (no commit). `delete_found`, when
   // non-null, points at the slice's ops.size() entries.
   Status ApplySlice(std::span<const UpdateOp> ops, UpdateBatchStats* stats,
                     uint8_t* delete_found);
 
-  // One locate/apply round over `pending_`: descends to each op's target
-  // level, applies the grouped operations, propagates child updates to the
-  // root, and leaves condensation orphans in `orphans_` for the next pass.
+  // One locate/read/apply round over `pending_`: descends to each op's
+  // target level, reads the target pages, applies the grouped operations,
+  // propagates child updates to the root, and leaves condensation orphans in
+  // `orphans_` for the next pass.
   Status RunPass(UpdateBatchStats* stats);
 
-  // Descent rounds: sorts and walks `frontier_` one level at a time,
-  // pinning each distinct page once (windowed FetchBatch with per-page
-  // degrade, as in BatchExecutor::ScanWindow). Items whose next hop is
+  // Descent rounds: sorts and walks `frontier_` one level at a time on the
+  // scheduler, pinning each distinct page once. Items whose next hop is
   // their target level land in `arrived_`.
   Status Locate(UpdateBatchStats* stats);
 
-  // Routes the items of one pinned frontier page one level down.
-  Status RouteItems(const storage::PageGuard& guard, size_t begin,
-                    size_t end);
+  // Routes the items of one pinned frontier page one level down into
+  // worker `wk`'s buffers.
+  Status RouteItems(const storage::PageGuard& guard, const PageRun& run,
+                    Worker* wk);
+
+  // The read round over targets_ (see the file comment); fills reads_.
+  Status ReadTargets();
 
   // Applies target-level groups and child updates to the node at `page`
   // under one pin, then resolves overflow/underflow and queues the parent's
   // update. The page is dirtied only if its bytes change. `ops` is the
   // [begin, end) slice of arrived_ for this page (possibly empty when only
-  // child updates are pending).
+  // child updates are pending); `read` is the page's read-round outcome
+  // (null when it is not a target).
   Status ProcessNode(storage::PageId page, const uint64_t* ops, size_t nops,
-                     UpdateBatchStats* stats);
+                     TargetRead* read, UpdateBatchStats* stats);
 
   // Splits `entries` (> max_entries of them) into >= 2 groups, each within
   // [min_entries, max_entries], by applying the configured split
@@ -235,6 +300,11 @@ class UpdateBatchExecutor {
                           UpdateBatchStats* stats);
 
   RTree* tree_;
+  std::unique_ptr<LevelScheduler> own_scheduler_;
+  LevelScheduler* scheduler_;
+  // Pages per fetch window (FetchWindow).
+  size_t window_ = 1;
+  std::vector<Worker> workers_;
   std::vector<UpdateCommit> commits_;
   // Uncommitted pages per op of the last two slices (0 until measured).
   double rate_ = 0.0;
@@ -244,8 +314,14 @@ class UpdateBatchExecutor {
   std::vector<uint64_t> frontier_;
   std::vector<uint64_t> next_;
   std::vector<uint64_t> arrived_;
-  std::vector<storage::PageId> window_ids_;
-  std::vector<storage::PageId> level_pages_;
+  std::vector<PageRun> runs_;
+  // The pass's target pages: runs of the sorted arrived_, one per page, and
+  // the read round's outcome for each. read_runs_ lists the targets the
+  // round reads, each as {page, index into targets_, index + 1}.
+  std::vector<PageRun> targets_;
+  std::vector<TargetRead> reads_;
+  std::vector<PageRun> read_runs_;
+  std::vector<size_t> shard_reads_;
   // Locate-time tree structure, valid for one pass: who routed to a page
   // (and through which slot), and at which level it lives.
   std::unordered_map<storage::PageId, ParentSlot> parent_of_;

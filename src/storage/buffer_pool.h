@@ -231,6 +231,16 @@ class PageCache {
     return 0;
   }
 
+  /// Frames of shard `shard` that hold neither a permanently pinned nor an
+  /// uncommitted page: how many pages a caller can pin there at once before
+  /// a fetch fails (or, with a WAL, takes a spare frame). Pins that other
+  /// callers hold are not subtracted.
+  virtual size_t shard_pinnable_frames(size_t shard) const {
+    (void)shard;
+    const size_t held = num_permanent_pins() + num_uncommitted();
+    return capacity() > held ? capacity() - held : 0;
+  }
+
   /// Shard-lock acquisitions that had to wait for another thread (0 for
   /// caches without locks).
   virtual uint64_t lock_waits() const { return 0; }

@@ -199,8 +199,7 @@ Result<PageId> FilePageStore::Allocate() {
   if (id >= kInvalidPageId) {
     return Status::ResourceExhausted("page id space exhausted");
   }
-  std::vector<uint8_t> zeros(page_size_, 0);
-  if (!PwriteFull(fd_, zeros.data(), page_size_,
+  if (!PwriteFull(fd_, zero_page_.data(), page_size_,
                   PageOffset(id, page_size_))) {
     return Status::IoError(path_ + ": page allocation write failed");
   }
@@ -303,9 +302,8 @@ Status FilePageStore::ResizeToPages(PageId n) {
   } else {
     // Committed allocations whose zero-fill write may not have completed:
     // extend with zeros, then the committed after-images overwrite them.
-    std::vector<uint8_t> zeros(page_size_, 0);
     for (PageId id = current; id < n; ++id) {
-      if (!PwriteFull(fd_, zeros.data(), page_size_,
+      if (!PwriteFull(fd_, zero_page_.data(), page_size_,
                       PageOffset(id, page_size_))) {
         return Status::IoError(path_ + ": recovery page extension failed");
       }

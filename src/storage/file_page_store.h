@@ -26,6 +26,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "storage/page.h"
 #include "storage/page_store.h"
@@ -139,6 +140,7 @@ class FilePageStore final : public PageStore {
       : path_(std::move(path)),
         fd_(fd),
         page_size_(page_size),
+        zero_page_(page_size, 0),
         num_pages_(num_pages) {}
 
   // Requires mu_ to be held.
@@ -158,6 +160,9 @@ class FilePageStore final : public PageStore {
   std::string path_;
   int fd_ = -1;
   size_t page_size_;
+  // One page of zeros: what Allocate writes for a new page, and what
+  // recovery writes to extend the file.
+  const std::vector<uint8_t> zero_page_;
   mutable std::mutex mu_;  // Serializes Allocate and header writes only.
   std::atomic<PageId> num_pages_;
   std::atomic<uint64_t> reads_{0};

@@ -199,6 +199,12 @@ size_t ShardedBufferPool::peak_shard_uncommitted() const {
   return peak;
 }
 
+size_t ShardedBufferPool::shard_pinnable_frames(size_t shard) const {
+  const Shard& s = *shards_.at(shard);
+  const auto lock = Lock(s);
+  return s.pool->shard_pinnable_frames(0);
+}
+
 Status ShardedBufferPool::WalCheckpoint() {
   if (wal_ == nullptr) return Status::OK();
   RTB_RETURN_IF_ERROR(FlushAll());

@@ -125,6 +125,7 @@ class ShardedBufferPool final : public PageCache {
   Status WalCheckpoint() override;
   size_t num_uncommitted() const override;
   size_t peak_shard_uncommitted() const override;
+  size_t shard_pinnable_frames(size_t shard) const override;
   void DiscardAll() override;
 
   bool Contains(PageId id) const override;

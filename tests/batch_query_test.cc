@@ -16,7 +16,8 @@
 //     via the concurrency label);
 //   * workers>1 — one executor splitting each level by pool shard over 1, 2
 //     or 4 threads returns the serial results and the same node accesses,
-//     page visits and BufferStats for every worker count;
+//     page visits and BufferStats for every worker count, also when one
+//     shard holds most of a level's runs;
 //   * kNN — kNNs riding the level pass beside region queries return
 //     SearchKnn's distances (k 1-64 and k > n; points inside the data,
 //     outside it and on leaf MBR edges; objects exactly at the radius; the
@@ -569,6 +570,99 @@ TEST(BatchWorkersTest, OneShardPoolWalksLikeTheSerialPool) {
     EXPECT_EQ(sharded.buffer.hits, serial_buffer.hits);
     EXPECT_EQ(sharded.buffer.misses, serial_buffer.misses);
     EXPECT_EQ(sharded.buffer.evictions, serial_buffer.evictions);
+  }
+}
+
+// The leaf pages a search for `q` visits below `page`, by a plain descent
+// over the store.
+void CollectLeaves(const TreeFixture& fx, PageId page, const Rect& q,
+                   std::vector<PageId>* out) {
+  std::vector<uint8_t> buf(fx.store->page_size());
+  RTB_CHECK(fx.store->Read(page, buf.data()).ok());
+  auto view = NodeView::Create(buf.data(), buf.size());
+  RTB_CHECK(view.ok());
+  if (view->is_leaf()) {
+    out->push_back(page);
+    return;
+  }
+  for (uint16_t i = 0; i < view->count(); ++i) {
+    if (view->rect(i).Intersects(q)) {
+      CollectLeaves(fx, static_cast<PageId>(view->id(i)), q, out);
+    }
+  }
+}
+
+TEST(BatchWorkersTest, SkewedLevelKeepsResultsAndBufferStats) {
+  // Each batch's leaf level has most of its runs in one shard: the workers
+  // claim that shard first and share out the rest. The shard is still
+  // walked by one worker in sweep order, so results and every BufferStats
+  // counter equal one worker's.
+  TreeFixture fx(20000, 16);
+  constexpr size_t kCapacity = 256;
+  constexpr size_t kShards = 8;
+  constexpr size_t kSkewed = 48;  // Leaves of the heavy shard per batch.
+  auto probe = storage::ShardedBufferPool::MakeLru(fx.store.get(), kCapacity,
+                                                   kShards);
+  std::vector<PageId> all_leaves;
+  CollectLeaves(fx, fx.built.root, Rect(0, 0, 1, 1), &all_leaves);
+
+  // Batch b: a point query on one entry of each of kSkewed leaves of shard
+  // `heavy[b]`, then a few scattered queries.
+  const size_t heavy[] = {0, 3, 5};
+  std::vector<Rect> queries;
+  for (size_t b = 0; b < 3; ++b) {
+    std::vector<Rect> batch;
+    for (const PageId leaf : all_leaves) {
+      if (batch.size() == kSkewed) break;
+      if (probe->ShardOf(leaf) != heavy[b]) continue;
+      std::vector<uint8_t> buf(fx.store->page_size());
+      ASSERT_TRUE(fx.store->Read(leaf, buf.data()).ok());
+      auto view = NodeView::Create(buf.data(), buf.size());
+      ASSERT_TRUE(view.ok());
+      batch.push_back(Rect::FromPoint(view->rect(0).lo));
+    }
+    ASSERT_EQ(batch.size(), kSkewed);
+    for (const Rect& q : MakeQueries(8, 80 + b)) batch.push_back(q);
+
+    std::vector<PageId> leaves;
+    for (const Rect& q : batch) CollectLeaves(fx, fx.built.root, q, &leaves);
+    std::sort(leaves.begin(), leaves.end());
+    leaves.erase(std::unique(leaves.begin(), leaves.end()), leaves.end());
+    const size_t in_heavy = static_cast<size_t>(std::count_if(
+        leaves.begin(), leaves.end(),
+        [&](PageId p) { return probe->ShardOf(p) == heavy[b]; }));
+    ASSERT_GE(leaves.size(), LevelScheduler::kMinParallelRuns);
+    ASSERT_GT(in_heavy * 2, leaves.size()) << "batch " << b;
+    queries.insert(queries.end(), batch.begin(), batch.end());
+  }
+  const size_t batch_size = kSkewed + 8;
+
+  auto serial_pool = storage::BufferPool::MakeLru(fx.store.get(), 1 << 14);
+  auto serial_tree =
+      RTree::Open(serial_pool.get(), RTreeConfig::WithFanout(fx.fanout),
+                  fx.built.root, fx.built.height);
+  ASSERT_TRUE(serial_tree.ok());
+  std::vector<std::vector<ObjectId>> serial(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_TRUE(serial_tree->Search(queries[q], &serial[q]).ok());
+    serial[q] = Sorted(std::move(serial[q]));
+  }
+
+  const ShardedRun one =
+      RunSharded(fx, kCapacity, kShards, 0, 1, queries, batch_size);
+  ASSERT_EQ(one.results, serial);
+  ASSERT_GT(one.buffer.evictions, 0u) << "the heavy shard must overflow";
+  for (const size_t workers : {size_t{2}, size_t{4}}) {
+    const ShardedRun many =
+        RunSharded(fx, kCapacity, kShards, 0, workers, queries, batch_size);
+    EXPECT_EQ(many.workers, workers);
+    EXPECT_EQ(many.results, serial) << workers << " workers";
+    EXPECT_EQ(many.batch.node_accesses, one.batch.node_accesses);
+    EXPECT_EQ(many.batch.page_visits, one.batch.page_visits);
+    EXPECT_EQ(many.buffer.requests, one.buffer.requests);
+    EXPECT_EQ(many.buffer.hits, one.buffer.hits);
+    EXPECT_EQ(many.buffer.misses, one.buffer.misses);
+    EXPECT_EQ(many.buffer.evictions, one.buffer.evictions);
   }
 }
 

@@ -29,6 +29,8 @@
 #include "net/serving.h"
 #include "rtree/batch.h"
 #include "rtree/knn.h"
+#include "rtree/node.h"
+#include "rtree/update_batch.h"
 #include "rtree/validate.h"
 #include "storage/buffer_pool.h"
 #include "storage/file_page_store.h"
@@ -281,11 +283,36 @@ TEST(ServerTest, CoalescedStatsMatchOfflineBatchRun) {
   ASSERT_TRUE((*stack)->Close().ok());
 }
 
-// The same contract on a 512-frame serving pool of 8 shards: the server
-// splits each search level over 4 workers (two shards each), the offline
-// run uses one, and every BufferStats counter still agrees exactly, because
-// each shard sees the same accesses whatever the worker count. STATS
-// reports the worker, shard and lock-wait figures.
+// Collects up to `count` leaf entries of the stack's tree, depth first.
+std::vector<rtree::Entry> SomeLeafEntries(ServingStack* stack, size_t count) {
+  std::vector<rtree::Entry> out;
+  std::vector<storage::PageId> pages{stack->tree()->root()};
+  while (!pages.empty() && out.size() < count) {
+    auto guard = stack->pool()->Fetch(pages.back());
+    pages.pop_back();
+    RTB_CHECK(guard.ok());
+    auto view = rtree::NodeView::Create(guard->data(),
+                                        stack->pool()->page_size());
+    RTB_CHECK(view.ok());
+    for (uint16_t i = 0; i < view->count(); ++i) {
+      if (view->is_leaf()) {
+        if (out.size() < count) out.push_back(view->entry(i));
+      } else {
+        pages.push_back(static_cast<storage::PageId>(view->id(i)));
+      }
+    }
+  }
+  return out;
+}
+
+// The same contract on a 512-frame serving pool of 16 shards, with updates
+// ahead of the searches in the drain: the server runs the update reads and
+// each search level over 4 workers, the offline run uses one, and every
+// BufferStats counter still agrees exactly, because each shard sees the
+// same accesses whatever the worker count. The updates (inserts that split
+// leaves, deletes that find their entry and deletes that miss) reach the
+// STATS counters exactly as one offline UpdateBatchExecutor run counts them.
+// STATS reports the worker, shard, scheduler and lock-wait figures.
 TEST(ServerTest, CoalescedStatsMatchOfflineRunAcrossWorkers) {
   constexpr size_t kClients = 8;
   constexpr size_t kPerClient = 32;
@@ -297,13 +324,34 @@ TEST(ServerTest, CoalescedStatsMatchOfflineRunAcrossWorkers) {
     const std::vector<Rect> qs = MakeQueries(kPerClient, 300 + c);
     all.insert(all.end(), qs.begin(), qs.end());
   }
-
-  rtree::BatchStats offline_stats;
-  storage::BufferStats offline_pool;
+  std::vector<rtree::UpdateOp> updates;
   {
     auto stack = ServingStack::Open(spec);
     ASSERT_TRUE(stack.ok());
-    ASSERT_EQ((*stack)->pool()->num_shards(), 8u);
+    for (const rtree::Entry& e : SomeLeafEntries(stack->get(), 24)) {
+      updates.push_back(rtree::UpdateOp::Delete(e.rect, e.id));
+    }
+    ASSERT_TRUE((*stack)->Close().ok());
+  }
+  const std::vector<Rect> fresh = MakeQueries(72, 900);
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    updates.push_back(rtree::UpdateOp::Insert(fresh[i], 1'000'000 + i));
+    if (i % 9 == 0) {
+      updates.push_back(rtree::UpdateOp::Delete(fresh[i], 2'000'000 + i));
+    }
+  }
+
+  rtree::BatchStats offline_stats;
+  storage::BufferStats offline_pool;
+  rtree::UpdateBatchStats offline_updates;
+  std::vector<uint8_t> offline_found;
+  {
+    auto stack = ServingStack::Open(spec);
+    ASSERT_TRUE(stack.ok());
+    ASSERT_EQ((*stack)->pool()->num_shards(), 16u);
+    rtree::UpdateBatchExecutor update_exec((*stack)->tree());
+    ASSERT_TRUE(
+        update_exec.Run(updates, &offline_updates, &offline_found).ok());
     rtree::BatchExecutor exec((*stack)->tree(), /*workers=*/1);
     std::vector<std::vector<rtree::ObjectId>> results;
     ASSERT_TRUE(exec.Run(std::span<const Rect>(all), &results,
@@ -312,11 +360,15 @@ TEST(ServerTest, CoalescedStatsMatchOfflineRunAcrossWorkers) {
     ASSERT_TRUE((*stack)->Close().ok());
   }
   ASSERT_GT(offline_pool.evictions, 0u) << "the pool must be under pressure";
+  ASSERT_GT(offline_updates.splits, 0u);
+  ASSERT_GT(offline_updates.deletes_found, 0u);
+  ASSERT_GT(offline_updates.deletes_missing, 0u);
 
   auto stack = ServingStack::Open(spec);
   ASSERT_TRUE(stack.ok());
   ServerOptions options;
-  options.max_batch = kTotal + 1;  // The searches and one STATS request.
+  // The searches, the updates and one STATS request.
+  options.max_batch = static_cast<uint32_t>(kTotal + updates.size() + 1);
   options.max_wait_us = 60'000'000;  // Only the batch bound may trip.
   options.search_workers = 4;
   Server server(stack->get(), options);
@@ -341,6 +393,26 @@ TEST(ServerTest, CoalescedStatsMatchOfflineRunAcrossWorkers) {
       }
     });
   }
+  // The updates come from one connection, so the drain runs them in the
+  // offline order.
+  std::vector<uint8_t> served_found(updates.size(), 0);
+  threads.emplace_back([&] {
+    auto client = Client::Connect(server.port());
+    ASSERT_TRUE(client.ok());
+    std::vector<uint64_t> ids;
+    for (const rtree::UpdateOp& op : updates) {
+      ids.push_back(op.kind == rtree::UpdateOp::Kind::kInsert
+                        ? (*client)->QueueInsert(op.rect, op.id)
+                        : (*client)->QueueDelete(op.rect, op.id));
+    }
+    ASSERT_TRUE((*client)->Flush().ok());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      auto reply = (*client)->WaitFor(ids[i]);
+      ASSERT_TRUE(reply.ok());
+      ASSERT_TRUE(reply->ok());
+      served_found[i] = reply->found ? 1 : 0;
+    }
+  });
   // STATS rides in the same drain and is answered after the searches.
   std::string stats_text;
   threads.emplace_back([&] {
@@ -356,8 +428,22 @@ TEST(ServerTest, CoalescedStatsMatchOfflineRunAcrossWorkers) {
   ASSERT_TRUE(serving.status().ok());
   EXPECT_NE(stats_text.find("\"search_workers\": 4"), std::string::npos)
       << stats_text;
-  EXPECT_NE(stats_text.find("\"shards\": 8"), std::string::npos);
+  EXPECT_NE(stats_text.find("\"shards\": 16"), std::string::npos);
   EXPECT_NE(stats_text.find("\"lock_waits\": "), std::string::npos);
+  EXPECT_NE(stats_text.find("\"shard_claims\": ["), std::string::npos);
+  EXPECT_NE(stats_text.find("\"barrier_wait_us\": "), std::string::npos);
+  EXPECT_EQ(stats_text.find("\"parallel_levels\": 0"), std::string::npos)
+      << "the update reads and the search levels split over the workers";
+  EXPECT_NE(stats_text.find("\"update_splits\": " +
+                            std::to_string(offline_updates.splits)),
+            std::string::npos);
+  EXPECT_NE(stats_text.find("\"update_condensed\": " +
+                            std::to_string(offline_updates.condensed_nodes)),
+            std::string::npos);
+  EXPECT_NE(stats_text.find("\"update_passes\": " +
+                            std::to_string(offline_updates.passes)),
+            std::string::npos);
+  EXPECT_NE(stats_text.find("\"update_commits\": 1"), std::string::npos);
 
   const ServerStats s = server.stats();
   EXPECT_EQ(s.batches, 1u) << "the whole multiset must coalesce";
@@ -368,6 +454,17 @@ TEST(ServerTest, CoalescedStatsMatchOfflineRunAcrossWorkers) {
   EXPECT_EQ(served_pool.hits, offline_pool.hits);
   EXPECT_EQ(served_pool.misses, offline_pool.misses);
   EXPECT_EQ(served_pool.evictions, offline_pool.evictions);
+  const rtree::UpdateBatchStats& u = s.update_batch;
+  EXPECT_EQ(u.inserts, offline_updates.inserts);
+  EXPECT_EQ(u.deletes_found, offline_updates.deletes_found);
+  EXPECT_EQ(u.deletes_missing, offline_updates.deletes_missing);
+  EXPECT_EQ(u.node_accesses, offline_updates.node_accesses);
+  EXPECT_EQ(u.pages_mutated, offline_updates.pages_mutated);
+  EXPECT_EQ(u.splits, offline_updates.splits);
+  EXPECT_EQ(u.condensed_nodes, offline_updates.condensed_nodes);
+  EXPECT_EQ(u.passes, offline_updates.passes);
+  EXPECT_EQ(u.commits, offline_updates.commits);
+  EXPECT_EQ(served_found, offline_found);
   ASSERT_TRUE((*stack)->Close().ok());
 }
 

@@ -200,6 +200,28 @@ TEST(ShardedBufferPoolTest, PermanentPinsSurvivePressureAndEvictAll) {
   EXPECT_EQ(pool->num_permanent_pins(), 0u);
 }
 
+// shard_pinnable_frames subtracts a shard's own permanent pins, not other
+// shards' and not transient pins.
+TEST(ShardedBufferPoolTest, PinnableFramesCountEachShardsPermanentPins) {
+  auto store = MakeStore(64);
+  auto pool = ShardedBufferPool::MakeLru(store.get(), 32, 4);
+  ASSERT_EQ(pool->num_shards(), 4u);  // 8 frames each.
+  ASSERT_TRUE(pool->PinPermanently(0).ok());
+  ASSERT_TRUE(pool->PinPermanently(1).ok());  // Same 8-page block as 0.
+  const size_t pinned = pool->ShardOf(0);
+  PageId other = 8;
+  while (pool->ShardOf(other) == pinned) other += 8;
+  auto held = pool->Fetch(other);
+  ASSERT_TRUE(held.ok());
+  for (size_t s = 0; s < pool->num_shards(); ++s) {
+    EXPECT_EQ(pool->shard_pinnable_frames(s), s == pinned ? 6u : 8u) << s;
+  }
+
+  auto serial = BufferPool::MakeLru(store.get(), 16);
+  ASSERT_TRUE(serial->PinPermanently(0).ok());
+  EXPECT_EQ(serial->shard_pinnable_frames(0), 15u);
+}
+
 TEST(ShardedBufferPoolTest, ShardStatsSumToAggregate) {
   auto store = MakeStore(64);
   auto pool = ShardedBufferPool::MakeLru(store.get(), 16, 4);

@@ -21,6 +21,13 @@
 //     and logs nothing, and inserts inside leaf MBRs dirty exactly their
 //     leaves (the randomized oracle checks that parents stay tight, whole
 //     and sliced);
+//   * worker counts — the reads split over 1, 2 or 4 workers of a shared
+//     LevelScheduler leave byte-identical store and WAL files and equal
+//     counters, commits and per-op answers (a sliced, WAL-on batch with
+//     splits, condensation, a duplicated entry and missing deletes);
+//   * pinned top levels — with permanent pins over more than half of a
+//     shard and no WAL, the read round leaves the apply its frames and the
+//     batch still matches the oracle;
 //   * write faults — an injected write fault during a batch leaves the
 //     store decodable and the failed pages dirty, so a retried flush
 //     completes the batch.
@@ -39,6 +46,8 @@
 #include "rtree/update_batch.h"
 #include "rtree/validate.h"
 #include "storage/fault_injection.h"
+#include "storage/file_page_store.h"
+#include "storage/sharded_buffer_pool.h"
 #include "storage/wal.h"
 
 namespace rtb::rtree {
@@ -740,6 +749,279 @@ TEST(UpdateBatchTest, InsertsInsideLeafMbrsDirtyOnlyTheirLeaves) {
   std::sort(targets.begin(), targets.end());
   std::sort(logged.begin(), logged.end());
   EXPECT_EQ(logged, targets);
+}
+
+// The node at `page` of `store`.
+Node ReadNode(storage::PageStore* store, PageId page) {
+  std::vector<uint8_t> buf(store->page_size());
+  RTB_CHECK(store->Read(page, buf.data()).ok());
+  auto node = DeserializeNode(buf.data(), buf.size());
+  RTB_CHECK(node.ok());
+  return *node;
+}
+
+void WriteNode(storage::PageStore* store, PageId page, const Node& node) {
+  std::vector<uint8_t> buf(store->page_size());
+  RTB_CHECK(SerializeNode(node, buf.size(), buf.data()).ok());
+  RTB_CHECK(store->Write(page, buf.data()).ok());
+}
+
+// The first level-1 node below `root` (first slots all the way down).
+PageId FirstLevelOneNode(storage::PageStore* store, PageId root) {
+  PageId page = root;
+  for (Node node = ReadNode(store, page); node.level > 1;
+       node = ReadNode(store, page)) {
+    page = static_cast<PageId>(node.entries.front().id);
+  }
+  return page;
+}
+
+// Copies the first entry of the first leaf below FirstLevelOneNode over the
+// last entry of the second leaf there and widens that leaf's slot, so one
+// (rect, id) sits in two leaves. Returns the copied entry.
+Entry DuplicateIntoSibling(storage::PageStore* store, PageId root) {
+  const PageId parent_page = FirstLevelOneNode(store, root);
+  Node parent = ReadNode(store, parent_page);
+  RTB_CHECK(parent.entries.size() >= 2);
+  const PageId a = static_cast<PageId>(parent.entries[0].id);
+  const PageId b = static_cast<PageId>(parent.entries[1].id);
+  const Entry dup = ReadNode(store, a).entries.front();
+  Node leaf = ReadNode(store, b);
+  leaf.entries.back() = dup;
+  WriteNode(store, b, leaf);
+  parent.entries[1].rect = geom::Union(parent.entries[1].rect, dup.rect);
+  WriteNode(store, parent_page, parent);
+  return dup;
+}
+
+// Reads the whole file at `path`.
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::vector<uint8_t> out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  RTB_CHECK(f != nullptr);
+  uint8_t buf[1 << 14];
+  for (size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+    out.insert(out.end(), buf, buf + n);
+  }
+  std::fclose(f);
+  return out;
+}
+
+// What one sliced, WAL-on batch left behind.
+struct WorkerRun {
+  std::vector<uint8_t> store_bytes;
+  std::vector<uint8_t> wal_bytes;
+  storage::BufferStats buffer;
+  UpdateBatchStats stats;
+  std::vector<UpdateCommit> commits;
+  std::vector<uint8_t> found;
+  uint64_t parallel_levels = 0;
+};
+
+// Bulk-loads `rects` into a fresh file store, duplicates one entry into a
+// sibling leaf (DuplicateIntoSibling), and runs `ops` through an executor on
+// a `workers`-worker scheduler over an 8-shard pool with a WAL attached.
+WorkerRun RunOnWorkers(const std::vector<Rect>& rects,
+                       const RTreeConfig& config,
+                       const std::vector<UpdateOp>& ops, size_t workers) {
+  const std::string base = ::testing::TempDir() + "/rtb_workers_" +
+                           std::to_string(::getpid()) + "_" +
+                           std::to_string(workers);
+  auto store = storage::FilePageStore::Create(base + ".store");
+  RTB_CHECK(store.ok());
+  auto built =
+      BuildRTree(store->get(), config, rects, LoadAlgorithm::kHilbertSort);
+  RTB_CHECK(built.ok());
+  DuplicateIntoSibling(store->get(), built->root);
+
+  WorkerRun run;
+  {
+    auto pool = storage::ShardedBufferPool::MakeLru(store->get(), 1024, 8);
+    RTB_CHECK(pool->num_shards() == 8);
+    auto wal = storage::WalWriter::Create(base + ".wal", {/*window=*/4});
+    RTB_CHECK(wal.ok());
+    pool->AttachWal(wal->get());
+    RTB_CHECK(pool->WalCheckpoint().ok());
+    auto tree = RTree::Open(pool.get(), config, built->root, built->height);
+    RTB_CHECK(tree.ok());
+    LevelScheduler scheduler(pool.get(), workers);
+    RTB_CHECK(scheduler.workers() == workers);
+    UpdateBatchExecutor exec(&*tree, &scheduler);
+    RTB_CHECK(exec.Run(ops, &run.stats, &run.found).ok());
+    run.commits = exec.commits();
+    run.buffer = pool->AggregateStats();
+    run.parallel_levels = scheduler.stats().parallel_levels;
+    pool->AttachWal(nullptr);
+    RTB_CHECK((*wal)->Close().ok());
+    RTB_CHECK(pool->Close().ok());
+  }
+  RTB_CHECK((*store)->Close().ok());
+  run.wal_bytes = FileBytes(base + ".wal");
+  run.store_bytes = FileBytes(base + ".store");
+  std::remove((base + ".wal").c_str());
+  std::remove((base + ".store").c_str());
+  return run;
+}
+
+// The worker count changes nothing a batch leaves behind: the reads (Locate
+// levels and the read round of the target pages) split over 1, 2 or 4
+// workers by shard, while every change to the tree stays on the calling
+// thread in page order. One sliced, WAL-on batch with leaf and root splits,
+// a condensed leaf, a delete of a (rect, id) held by two leaves and deletes
+// that miss leaves the same store bytes, WAL bytes, BufferStats,
+// UpdateBatchStats, commits and per-op answers for every worker count.
+TEST(UpdateBatchTest, WorkerCountLeavesPagesStatsAndLogUnchanged) {
+  const bool was_durable = storage::DurableSyncActive();
+  storage::SetDurableSync(false);
+  // 8^5 points at fanout 8: a packed tree of height 5 whose every node is
+  // full, so an insert splits its way up to the root.
+  const RTreeConfig config = RTreeConfig::WithFanout(8);
+  Rng rng(4242);
+  const std::vector<Rect> rects = data::GenerateUniformPoints(32768, &rng);
+
+  std::vector<UpdateOp> ops;
+  {
+    // The tree as bulk-loaded and patched: six of the eight entries of the
+    // third leaf below the first level-1 node go, so that leaf drops below
+    // min_entries (3) and is condensed; the duplicated entry goes once, from
+    // the lower-numbered of its two leaves.
+    MemPageStore scratch(storage::kDefaultPageSize);
+    auto built =
+        BuildRTree(&scratch, config, rects, LoadAlgorithm::kHilbertSort);
+    ASSERT_TRUE(built.ok());
+    const Entry dup = DuplicateIntoSibling(&scratch, built->root);
+    const Node parent =
+        ReadNode(&scratch, FirstLevelOneNode(&scratch, built->root));
+    ASSERT_GE(parent.entries.size(), 3u);
+    const Node condensed =
+        ReadNode(&scratch, static_cast<PageId>(parent.entries[2].id));
+    ASSERT_EQ(condensed.entries.size(), 8u);
+    for (size_t i = 0; i < 6; ++i) {
+      ops.push_back(UpdateOp::Delete(condensed.entries[i].rect,
+                                     condensed.entries[i].id));
+    }
+    ops.push_back(UpdateOp::Delete(dup.rect, dup.id));
+  }
+  for (int i = 0; i < 400; ++i) {
+    const double x = rng.NextDouble();
+    const double y = rng.NextDouble();
+    ops.push_back(UpdateOp::Insert(Rect(x, y, x, y), 100000 + i));
+    if (i % 10 == 0) {
+      ops.push_back(UpdateOp::Delete(Rect(x, y, x, y), 900000 + i));
+    }
+  }
+
+  const WorkerRun one = RunOnWorkers(rects, config, ops, 1);
+  ASSERT_GT(one.commits.size(), 2u) << "the batch must commit in slices";
+  ASSERT_GT(one.commits.back().height, 5u) << "the root must split";
+  ASSERT_GT(one.stats.splits, 0u);
+  ASSERT_GT(one.stats.condensed_nodes, 0u);
+  ASSERT_EQ(one.stats.deletes_found, 7u);
+  ASSERT_EQ(one.stats.deletes_missing, 40u);
+  ASSERT_GT(one.parallel_levels, 0u) << "some levels must split by shard";
+  ASSERT_GT(one.buffer.evictions, 0u) << "the pool must be under pressure";
+  for (const size_t workers : {size_t{2}, size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << workers << " workers");
+    const WorkerRun many = RunOnWorkers(rects, config, ops, workers);
+    EXPECT_TRUE(many.store_bytes == one.store_bytes);
+    EXPECT_TRUE(many.wal_bytes == one.wal_bytes);
+    EXPECT_EQ(many.buffer.requests, one.buffer.requests);
+    EXPECT_EQ(many.buffer.hits, one.buffer.hits);
+    EXPECT_EQ(many.buffer.misses, one.buffer.misses);
+    EXPECT_EQ(many.buffer.evictions, one.buffer.evictions);
+    EXPECT_EQ(many.buffer.writebacks, one.buffer.writebacks);
+    EXPECT_EQ(many.buffer.spare_frames, one.buffer.spare_frames);
+    EXPECT_EQ(many.stats.inserts, one.stats.inserts);
+    EXPECT_EQ(many.stats.deletes_found, one.stats.deletes_found);
+    EXPECT_EQ(many.stats.deletes_missing, one.stats.deletes_missing);
+    EXPECT_EQ(many.stats.node_accesses, one.stats.node_accesses);
+    EXPECT_EQ(many.stats.pages_mutated, one.stats.pages_mutated);
+    EXPECT_EQ(many.stats.splits, one.stats.splits);
+    EXPECT_EQ(many.stats.condensed_nodes, one.stats.condensed_nodes);
+    EXPECT_EQ(many.stats.passes, one.stats.passes);
+    EXPECT_EQ(many.stats.commits, one.stats.commits);
+    ASSERT_EQ(many.commits.size(), one.commits.size());
+    for (size_t c = 0; c < one.commits.size(); ++c) {
+      EXPECT_EQ(many.commits[c].ops, one.commits[c].ops);
+      EXPECT_EQ(many.commits[c].lsn, one.commits[c].lsn);
+      EXPECT_EQ(many.commits[c].root, one.commits[c].root);
+      EXPECT_EQ(many.commits[c].height, one.commits[c].height);
+    }
+    EXPECT_EQ(many.found, one.found);
+    EXPECT_EQ(many.parallel_levels, one.parallel_levels);
+  }
+  storage::SetDurableSync(was_durable);
+}
+
+// Permanently pinned top levels (as sim::PinTopLevels leaves them) take more
+// than half of the pool's one shard, and no WAL is attached. The read round
+// holds only part of what the shard can still pin, so a batch that reads
+// more target leaves than fit beside the pins still succeeds on a serial
+// and on a sharded pool, and leaves the oracle's entries in a valid tree.
+TEST(UpdateBatchTest, ReadRoundFitsBesidePermanentPins) {
+  // 8^4 points at fanout 8: a packed tree of height 4 whose top two levels
+  // are 9 pages, more than half of a 16-frame pool.
+  const RTreeConfig config = RTreeConfig::WithFanout(8);
+  constexpr size_t kFrames = 16;
+  Rng rng(5150);
+  const std::vector<Rect> rects = data::GenerateUniformPoints(4096, &rng);
+  std::vector<UpdateOp> ops;
+  std::vector<Entry> expect;
+  for (size_t i = 0; i < rects.size(); ++i) {
+    if (i % 64 == 0) {
+      ops.push_back(UpdateOp::Delete(rects[i], static_cast<ObjectId>(i)));
+    } else {
+      expect.push_back(Entry{rects[i], static_cast<ObjectId>(i)});
+    }
+  }
+  for (int i = 0; i < 200; ++i) {
+    const double x = rng.NextDouble();
+    const double y = rng.NextDouble();
+    ops.push_back(UpdateOp::Insert(Rect(x, y, x, y), 100000 + i));
+    expect.push_back(Entry{Rect(x, y, x, y), static_cast<ObjectId>(100000 + i)});
+    if (i % 20 == 0) {
+      ops.push_back(UpdateOp::Delete(Rect(x, y, x, y), 900000 + i));
+    }
+  }
+  std::sort(expect.begin(), expect.end(), [](const Entry& a, const Entry& b) {
+    if (a.id != b.id) return a.id < b.id;
+    return a.rect.lo.x < b.rect.lo.x;
+  });
+
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded pool" : "serial pool");
+    MemPageStore store(storage::kDefaultPageSize);
+    auto built =
+        BuildRTree(&store, config, rects, LoadAlgorithm::kHilbertSort);
+    ASSERT_TRUE(built.ok());
+    ASSERT_EQ(built->height, 4u);
+    std::unique_ptr<storage::PageCache> pool;
+    if (sharded) {
+      pool = storage::ShardedBufferPool::MakeLru(&store, kFrames, 1);
+    } else {
+      pool = BufferPool::MakeLru(&store, kFrames);
+    }
+    ASSERT_TRUE(pool->PinPermanently(built->root).ok());
+    for (const Entry& e : ReadNode(&store, built->root).entries) {
+      ASSERT_TRUE(pool->PinPermanently(static_cast<PageId>(e.id)).ok());
+    }
+    ASSERT_GT(pool->num_permanent_pins(), kFrames / 2);
+
+    auto tree = RTree::Open(pool.get(), config, built->root, built->height);
+    ASSERT_TRUE(tree.ok());
+    UpdateBatchExecutor exec(&*tree);
+    UpdateBatchStats stats;
+    const Status status = exec.Run(ops, &stats);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(stats.deletes_found, 64u);
+    EXPECT_EQ(stats.deletes_missing, 10u);
+    EXPECT_GT(stats.splits, 0u);
+    EXPECT_EQ(LeafEntries(*tree), expect);
+    ASSERT_TRUE(pool->FlushAll().ok());
+    ValidationReport report = ValidateTree(&store, tree->root(), config);
+    EXPECT_TRUE(report.ok) << (report.issues.empty() ? "no issues"
+                                                     : report.issues.front());
+  }
 }
 
 // An injected write fault during the batch surfaces as an error, the store
